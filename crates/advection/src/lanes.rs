@@ -11,29 +11,12 @@
 //! [`crate::simd::transpose8x8`] LAT staging (the innermost `u_z` axis, where
 //! lanes would otherwise be strided loads — paper Fig. 2/3).
 
-use crate::flux::{sl5_weights, Boundary};
-use crate::line::{Scheme, GHOST};
+use crate::flux::sl5_weights;
+use crate::line::{orient, KernelWork, LineEnds, Scheme, GHOST};
 use crate::simd::f32x8;
 
 /// Reusable scratch for bundle updates.
-#[derive(Debug, Default, Clone)]
-pub struct LanesWork {
-    ghost: Vec<f32x8>,
-    flux: Vec<f32x8>,
-}
-
-impl LanesWork {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn prepare(&mut self, n: usize) {
-        self.ghost.clear();
-        self.ghost.resize(n + 2 * GHOST, f32x8::ZERO);
-        self.flux.clear();
-        self.flux.resize(n + 1, f32x8::ZERO);
-    }
-}
+pub type LanesWork = KernelWork<f32x8>;
 
 #[inline(always)]
 fn vminmod(a: f32x8, b: f32x8) -> f32x8 {
@@ -52,7 +35,10 @@ fn vmedian_clip(v: f32x8, lo: f32x8, hi: f32x8) -> f32x8 {
 }
 
 /// Advance a bundle of eight lines (`bundle[i]` holds position `i` of all
-/// eight lines) by a common shift `cfl`. Only the production schemes are
+/// eight lines) by a common shift `cfl` with the line ends `ends` (a
+/// [`crate::Boundary`] or a [`LineEnds`] whose ghost cells are bundles).
+/// Bundles of any length are fine, exactly as for
+/// [`crate::line::advect_line`]. Only the production schemes are
 /// vectorised; ask for others through the scalar path.
 ///
 /// # Panics
@@ -61,24 +47,23 @@ pub fn advect_lanes(
     scheme: Scheme,
     bundle: &mut [f32x8],
     cfl: f64,
-    bc: Boundary,
+    ends: impl Into<LineEnds<f32x8>>,
     work: &mut LanesWork,
 ) {
-    let n = bundle.len();
-    if n == 0 || cfl == 0.0 {
+    if bundle.is_empty() || cfl == 0.0 {
         return;
     }
-    assert!(n >= 2 * GHOST, "bundle too short for the stencil: {n}");
     assert!(
         matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5),
         "advect_lanes supports SL5 / SL-MPP5 only"
     );
-    if cfl < 0.0 {
+    let (mirror, cfl, ends) = orient(cfl, ends.into());
+    if mirror {
         bundle.reverse();
-        advect_lanes_positive(scheme, bundle, -cfl, bc, work);
+    }
+    advect_lanes_positive(scheme, bundle, cfl, &ends, work);
+    if mirror {
         bundle.reverse();
-    } else {
-        advect_lanes_positive(scheme, bundle, cfl, bc, work);
     }
 }
 
@@ -86,7 +71,7 @@ fn advect_lanes_positive(
     scheme: Scheme,
     bundle: &mut [f32x8],
     cfl: f64,
-    bc: Boundary,
+    ends: &LineEnds<f32x8>,
     work: &mut LanesWork,
 ) {
     let n = bundle.len();
@@ -96,7 +81,7 @@ fn advect_lanes_positive(
 
     for (j, g) in work.ghost.iter_mut().enumerate() {
         let src = j as i64 - GHOST as i64 - n_int;
-        *g = sample(bundle, src, bc);
+        *g = ends.sample(bundle, src, f32x8::ZERO);
     }
 
     let w64 = sl5_weights(s);
@@ -153,24 +138,10 @@ fn advect_lanes_positive(
     }
 }
 
-#[inline]
-fn sample(bundle: &[f32x8], idx: i64, bc: Boundary) -> f32x8 {
-    let n = bundle.len() as i64;
-    match bc {
-        Boundary::Periodic => bundle[idx.rem_euclid(n) as usize],
-        Boundary::Zero => {
-            if idx < 0 || idx >= n {
-                f32x8::ZERO
-            } else {
-                bundle[idx as usize]
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flux::Boundary;
     use crate::line::{advect_line, LineWork};
 
     fn make_lines(n: usize, seed: u64) -> Vec<Vec<f32>> {
@@ -199,26 +170,53 @@ mod tests {
             .collect()
     }
 
+    /// Lanes track the scalar kernel for every line-end source, on long
+    /// lines and on lines shorter than the stencil.
     #[test]
     fn lanes_match_scalar_kernel() {
+        let ghosts = make_lines(2 * GHOST, 13);
+        let lane_ghost = |lines: &[Vec<f32>], side: usize| -> [f32x8; GHOST] {
+            core::array::from_fn(|g| f32x8(core::array::from_fn(|l| lines[l][side + g])))
+        };
         for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
-            for &cfl in &[0.3, 0.85, -0.42, 2.7, -3.1] {
-                for bc in [Boundary::Periodic, Boundary::Zero] {
-                    let lines = make_lines(40, 7);
-                    let mut bundle = pack(&lines);
-                    let mut lwork = LanesWork::new();
-                    advect_lanes(scheme, &mut bundle, cfl, bc, &mut lwork);
-                    let vec_result = unpack(&bundle);
+            for cfl in [0.3f64, 0.85, -0.42, 2.7, -3.1] {
+                for n in [2usize, 4, 40] {
+                    for ends in 0..3 {
+                        if ends == 2 && cfl.abs() >= 1.0 {
+                            continue;
+                        }
+                        let lines = make_lines(n, 7);
+                        let mut bundle = pack(&lines);
+                        let vec_ends = match ends {
+                            0 => LineEnds::Periodic,
+                            1 => LineEnds::Zero,
+                            _ => LineEnds::Ghost {
+                                low: lane_ghost(&ghosts, 0),
+                                high: lane_ghost(&ghosts, GHOST),
+                            },
+                        };
+                        advect_lanes(scheme, &mut bundle, cfl, vec_ends, &mut LanesWork::new());
+                        let vec_result = unpack(&bundle);
 
-                    let mut swork = LineWork::new();
-                    for (l, line) in lines.iter().enumerate() {
-                        let mut scalar = line.clone();
-                        advect_line(scheme, &mut scalar, cfl, bc, &mut swork);
-                        for (i, (a, b)) in vec_result[l].iter().zip(&scalar).enumerate() {
-                            assert!(
-                                (a - b).abs() < 2e-4,
-                                "{scheme:?} cfl={cfl} {bc:?} lane {l} cell {i}: {a} vs {b}"
-                            );
+                        let mut swork = LineWork::new();
+                        for (l, line) in lines.iter().enumerate() {
+                            let line_ends = match vec_ends {
+                                LineEnds::Ghost { .. } => LineEnds::Ghost {
+                                    low: core::array::from_fn(|g| ghosts[l][g]),
+                                    high: core::array::from_fn(|g| ghosts[l][GHOST + g]),
+                                },
+                                LineEnds::Periodic => LineEnds::Periodic,
+                                LineEnds::Zero => LineEnds::Zero,
+                            };
+                            let mut scalar = line.clone();
+                            advect_line(scheme, &mut scalar, cfl, line_ends, &mut swork);
+                            for (i, (a, b)) in vec_result[l].iter().zip(&scalar).enumerate() {
+                                assert!(
+                                    (a - b).abs() < 2e-4,
+                                    "{scheme:?} cfl={cfl} n={n} {line_ends:?} lane {l} \
+                                     cell {i}: {a} vs {b}"
+                                );
+                            }
                         }
                     }
                 }

@@ -34,7 +34,7 @@ pub mod mol;
 pub mod simd;
 
 pub use flux::Boundary;
-pub use line::{advect_line, Scheme, GHOST};
+pub use line::{advect_line, LineEnds, Scheme, GHOST};
 pub use simd::f32x8;
 
 /// Floating-point operations per updated cell for each scheme — used by the

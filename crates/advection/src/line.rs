@@ -31,53 +31,146 @@ pub enum Scheme {
 /// Ghost width needed by the widest stencil (SL-MPP5 / SL5).
 pub const GHOST: usize = 3;
 
-/// Reusable scratch for line updates — allocate once per worker thread.
-#[derive(Debug, Default, Clone)]
-pub struct LineWork {
-    ghost: Vec<f64>,
-    flux: Vec<f64>,
+/// Where a line kernel takes the `GHOST` cells beyond each end of a line —
+/// the single point at which the line boundary enters the update. Every
+/// source fills the kernel's ghost-extended copy and nothing else, so each
+/// line still computes exactly its `n + 1` interface fluxes.
+///
+/// `T` is the cell type of the kernel: `f32` for [`advect_line`], `f32x8`
+/// for [`crate::lanes::advect_lanes`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LineEnds<T> {
+    /// Periodic wrap (spatial axes owned by one rank).
+    Periodic,
+    /// Zero inflow / free outflow (velocity axes).
+    Zero,
+    /// Caller-supplied ghost cells: `low[k]` is cell `k − GHOST` and
+    /// `high[k]` is cell `n + k` (exchanged neighbour planes). No stencil may
+    /// reach past them, so the shift must stay below one cell: `|cfl| < 1`.
+    Ghost { low: [T; GHOST], high: [T; GHOST] },
 }
 
-impl LineWork {
+impl<T> From<Boundary> for LineEnds<T> {
+    fn from(bc: Boundary) -> Self {
+        match bc {
+            Boundary::Periodic => LineEnds::Periodic,
+            Boundary::Zero => LineEnds::Zero,
+        }
+    }
+}
+
+impl<T: Copy> LineEnds<T> {
+    /// The same source over another cell type, e.g. one row of a staged
+    /// tile of ghost cells.
+    pub fn map<U>(self, f: impl Fn(T) -> U) -> LineEnds<U> {
+        match self {
+            LineEnds::Periodic => LineEnds::Periodic,
+            LineEnds::Zero => LineEnds::Zero,
+            LineEnds::Ghost { low, high } => LineEnds::Ghost {
+                low: low.map(&f),
+                high: high.map(&f),
+            },
+        }
+    }
+
+    /// Cell `idx` of `line` continued past both ends by this source; `zero`
+    /// is the cell type's zero. Lines shorter than the stencil are fine:
+    /// the periodic continuation may visit a cell twice (it *is* the exact
+    /// periodic continuation), and zero or ghost ends never consult the
+    /// line out of range.
+    #[inline]
+    pub(crate) fn sample(&self, line: &[T], idx: i64, zero: T) -> T {
+        let n = line.len() as i64;
+        match self {
+            LineEnds::Periodic => line[idx.rem_euclid(n) as usize],
+            LineEnds::Zero if idx < 0 || idx >= n => zero,
+            LineEnds::Ghost { low, .. } if idx < 0 => low[(idx + GHOST as i64) as usize],
+            LineEnds::Ghost { high, .. } if idx >= n => high[(idx - n) as usize],
+            _ => line[idx as usize],
+        }
+    }
+}
+
+/// Split a shift into the orientation the kernels advect (`cfl ≥ 0`) and
+/// the ends it sees. Advecting with `-c` is advecting the reversed line with
+/// `+c` (the mirror trick); its ghost sides swap and read backwards. Ghost
+/// ends need `|cfl| < 1`.
+pub(crate) fn orient<T: Copy>(cfl: f64, ends: LineEnds<T>) -> (bool, f64, LineEnds<T>) {
+    let LineEnds::Ghost { low, high } = ends else {
+        return (cfl < 0.0, cfl.abs(), ends);
+    };
+    assert!(
+        cfl.abs() < 1.0,
+        "ghost line ends need |cfl| < 1 (ghost width {GHOST}), got {cfl}"
+    );
+    if cfl >= 0.0 {
+        return (false, cfl, ends);
+    }
+    let back = |side: [T; GHOST]| core::array::from_fn(|k| side[GHOST - 1 - k]);
+    let (low, high) = (back(high), back(low));
+    (true, -cfl, LineEnds::Ghost { low, high })
+}
+
+/// Reusable scratch for line updates — allocate once per worker thread.
+/// `T` is the kernel's working type: `f64` here ([`LineWork`]), `f32x8` in
+/// the lanes kernel ([`crate::lanes::LanesWork`]).
+#[derive(Debug, Default, Clone)]
+pub struct KernelWork<T> {
+    pub(crate) ghost: Vec<T>,
+    pub(crate) flux: Vec<T>,
+}
+
+/// Scratch of [`advect_line`].
+pub type LineWork = KernelWork<f64>;
+
+impl<T: Copy + Default> KernelWork<T> {
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn prepare(&mut self, n: usize) {
+    pub(crate) fn prepare(&mut self, n: usize) {
         self.ghost.clear();
-        self.ghost.resize(n + 2 * GHOST, 0.0);
+        self.ghost.resize(n + 2 * GHOST, T::default());
         self.flux.clear();
-        self.flux.resize(n + 1, 0.0);
+        self.flux.resize(n + 1, T::default());
     }
 }
 
-/// Advance one line by shift `cfl = v Δt / Δx` (any magnitude, any sign).
+/// Advance one line by shift `cfl = v Δt / Δx` (any magnitude, any sign)
+/// with the line ends `ends` (a [`Boundary`] or a [`LineEnds`]).
 ///
 /// The update is in flux form, so on periodic lines total mass is conserved to
 /// rounding. `Boundary::Zero` lines lose the mass advected off the ends —
-/// physical outflow in velocity space.
-pub fn advect_line(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, work: &mut LineWork) {
-    let n = line.len();
-    if n == 0 || cfl == 0.0 {
+/// physical outflow in velocity space. Lines of any length are fine, thin
+/// scenario grids (a quasi-1-D plasma box with 4 transverse cells) and
+/// thin rank blocks included: see [`LineEnds::sample`].
+pub fn advect_line(
+    scheme: Scheme,
+    line: &mut [f32],
+    cfl: f64,
+    ends: impl Into<LineEnds<f32>>,
+    work: &mut LineWork,
+) {
+    if line.is_empty() || cfl == 0.0 {
         return;
     }
-    // Lines shorter than the stencil are fine: `sample` continues them
-    // periodically (the wrapped stencil *is* the exact periodic
-    // continuation — a cell may appear twice) or with zeros, so thin
-    // scenario grids (e.g. a quasi-1-D plasma box with 4 transverse cells)
-    // need no special casing.
-    if cfl < 0.0 {
-        // Mirror trick: advecting with -c equals advecting the reversed line
-        // with +c. Both boundary conditions are mirror-symmetric.
+    let (mirror, cfl, ends) = orient(cfl, ends.into());
+    if mirror {
         line.reverse();
-        advect_positive(scheme, line, -cfl, bc, work);
+    }
+    advect_positive(scheme, line, cfl, &ends, work);
+    if mirror {
         line.reverse();
-    } else {
-        advect_positive(scheme, line, cfl, bc, work);
     }
 }
 
-fn advect_positive(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, work: &mut LineWork) {
+fn advect_positive(
+    scheme: Scheme,
+    line: &mut [f32],
+    cfl: f64,
+    ends: &LineEnds<f32>,
+    work: &mut LineWork,
+) {
     debug_assert!(cfl >= 0.0);
     let n = line.len();
     let n_int = cfl.floor() as i64;
@@ -87,7 +180,7 @@ fn advect_positive(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, wor
     // Ghost-extended, integer-shifted upwind copy: ghost[j] = line[j - GHOST - n_int].
     for (j, g) in work.ghost.iter_mut().enumerate() {
         let src = j as i64 - GHOST as i64 - n_int;
-        *g = sample(line, src, bc);
+        *g = ends.sample(line, src, 0.0) as f64;
     }
 
     // Interface fluxes: flux[j] = F_{j-1/2}, upwind cell j-1, stencil cells
@@ -154,21 +247,6 @@ fn advect_positive(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary, wor
     for (i, v) in line.iter_mut().enumerate() {
         let updated = work.ghost[i + GHOST] - work.flux[i + 1] + work.flux[i];
         *v = updated as f32;
-    }
-}
-
-#[inline]
-fn sample(line: &[f32], idx: i64, bc: Boundary) -> f64 {
-    let n = line.len() as i64;
-    match bc {
-        Boundary::Periodic => line[idx.rem_euclid(n) as usize] as f64,
-        Boundary::Zero => {
-            if idx < 0 || idx >= n {
-                0.0
-            } else {
-                line[idx as usize] as f64
-            }
-        }
     }
 }
 
@@ -468,6 +546,55 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Ghost ends are the window of a longer line: a line advected with
+    /// caller-supplied ghost cells equals, bit for bit, the same cells
+    /// inside the ghost-extended line — the kernel sees the same stencil
+    /// values either way. Covers lines shorter than the stencil.
+    #[test]
+    fn ghost_ends_match_extended_line_bitwise() {
+        for scheme in [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5] {
+            for n in [1usize, 2, 4, 7, 12] {
+                for cfl in [0.3, -0.7, 0.95, -0.05] {
+                    let ext: Vec<f32> = (0..n + 2 * GHOST)
+                        .map(|i| 1.0 + (i as f32 * 0.77).sin())
+                        .collect();
+                    let mut long = ext.clone();
+                    let mut line = ext[GHOST..GHOST + n].to_vec();
+                    let ends = LineEnds::Ghost {
+                        low: core::array::from_fn(|g| ext[g]),
+                        high: core::array::from_fn(|g| ext[GHOST + n + g]),
+                    };
+                    let mut work = LineWork::new();
+                    advect_line(scheme, &mut long, cfl, Boundary::Zero, &mut work);
+                    advect_line(scheme, &mut line, cfl, ends, &mut work);
+                    for (i, (a, b)) in line.iter().zip(&long[GHOST..]).enumerate() {
+                        assert_eq!(
+                            a.to_bits(),
+                            b.to_bits(),
+                            "{scheme:?} n={n} cfl={cfl} cell {i}: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "ghost line ends need |cfl| < 1")]
+    fn ghost_ends_reject_whole_cell_shifts() {
+        let ends = LineEnds::Ghost {
+            low: [1.0; GHOST],
+            high: [1.0; GHOST],
+        };
+        advect_line(
+            Scheme::SlMpp5,
+            &mut [1.0; 8],
+            -1.0,
+            ends,
+            &mut LineWork::new(),
+        );
     }
 
     /// A length-1 periodic line is a fixed point of advection by any shift.

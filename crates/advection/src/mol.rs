@@ -10,7 +10,7 @@
 //! accuracy parity on smooth data) is an apples-to-apples comparison.
 
 use crate::flux::{median_clip, mp5_bracket, Boundary};
-use crate::line::GHOST;
+use crate::line::{LineEnds, GHOST};
 
 /// Flux (spatial-operator) evaluations per time step — the quantity the
 /// paper's cost argument is about.
@@ -90,10 +90,11 @@ fn rhs(u: &[f64], cfl: f64, bc: Boundary, ghost: &mut [f64], out: &mut [f64]) {
     // Fill the ghost-extended view, mirroring for negative velocities so the
     // reconstruction below always upwinds to the left.
     let mirrored = cfl < 0.0;
+    let ends = LineEnds::from(bc);
     for (j, g) in ghost.iter_mut().enumerate() {
         let idx = j as i64 - GHOST as i64;
         let idx = if mirrored { n as i64 - 1 - idx } else { idx };
-        *g = sample(u, idx, bc);
+        *g = ends.sample(u, idx, 0.0);
     }
     let c = cfl.abs();
 
@@ -111,21 +112,6 @@ fn rhs(u: &[f64], cfl: f64, bc: Boundary, ghost: &mut [f64], out: &mut [f64]) {
         let f_plus = iface(ghost, i_m + 1); // F̂_{i_m+1/2}: upwind cell i_m → ghost j = i_m+1
         let f_minus = iface(ghost, i_m);
         *o = -c * (f_plus - f_minus);
-    }
-}
-
-#[inline]
-fn sample(u: &[f64], idx: i64, bc: Boundary) -> f64 {
-    let n = u.len() as i64;
-    match bc {
-        Boundary::Periodic => u[idx.rem_euclid(n) as usize],
-        Boundary::Zero => {
-            if idx < 0 || idx >= n {
-                0.0
-            } else {
-                u[idx as usize]
-            }
-        }
     }
 }
 

@@ -42,7 +42,7 @@ pub enum OverlapPolicy {
     #[default]
     Synchronous,
     /// Split-phase exchange hidden behind the interior sweep
-    /// ([`sweep_spatial_overlapped`]); only the boundary pencils wait.
+    /// ([`sweep_spatial_overlapped`]); only the boundary windows wait.
     Overlapped,
 }
 
@@ -168,6 +168,8 @@ impl DistributedVlasov {
     /// Replace the sweep execution backend (default [`Exec::Simd`]). Needed
     /// for velocity grids whose axes are not multiples of the SIMD lane
     /// count — the plasma scenarios' thin transverse grids, for example.
+    /// The x drift's exchange sweep takes its kernel from
+    /// [`Exec::for_grid`]; pass that exec to run one kernel end to end.
     pub fn with_exec(mut self, exec: Exec) -> Self {
         self.exec = exec;
         self

@@ -30,9 +30,10 @@ pub fn king_sphere() -> KineticScenario {
 pub fn king_sphere_with(sdims: [usize; 3], nv: usize) -> KineticScenario {
     let model = KingModel::solve(1.0, 0.15, 6.0, 1.0);
     let coupling = model.coupling;
-    // The cubic velocity grid covers the escape speed with margin and keeps
-    // nuy/nuz divisible by the SIMD lane count, so this family exercises
-    // [`Exec::Simd`] where the thin plasma grids cannot.
+    // The cubic velocity grid covers the escape speed with margin; at a
+    // multiple of the SIMD lane count the kernel rule picks [`Exec::Simd`],
+    // so this family exercises the lanes kernel where the thin plasma grids
+    // cannot.
     let vmax = 1.2 * model.v_escape();
     let spheres = vec![KingSpherePlacement {
         center: [0.5; 3],
@@ -47,11 +48,7 @@ pub fn king_sphere_with(sdims: [usize; 3], nv: usize) -> KineticScenario {
             sdims,
             vgrid: VelocityGrid::cubic(nv, vmax),
             scheme: Scheme::SlMpp5,
-            exec: if nv % 8 == 0 {
-                Exec::Simd
-            } else {
-                Exec::Scalar
-            },
+            exec: Exec::for_grid(Scheme::SlMpp5, [nv; 3]),
         },
         max_step: 0.05,
         cfl_spatial: 0.9,

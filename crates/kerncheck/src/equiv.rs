@@ -14,14 +14,16 @@
 //!   `f64`) within a per-element hybrid ULP budget over a seeded adversarial
 //!   corpus: uniform random lines, isolated spikes (limiter corners),
 //!   denormal-magnitude lines (flush/underflow paths), and near-clamp
-//!   plateaus (the positivity clamp's `min`/`max` ties). The tolerance is
+//!   plateaus (the positivity clamp's `min`/`max` ties) — each long and
+//!   shorter than the stencil, under every line-end source (periodic, zero,
+//!   caller-supplied ghost cells drawn from the same shape). The tolerance is
 //!   `BUDGET_ULPS · ε_f32 · scale + 2 · f32::MIN_POSITIVE` with `scale` the
 //!   line's max magnitude — relative in the normal range, absolute at the
 //!   denormal floor.
 
 use crate::report::Report;
 use vlasov6d_advection::lanes::{advect_lanes, LanesWork};
-use vlasov6d_advection::line::{advect_line, LineWork};
+use vlasov6d_advection::line::{advect_line, LineEnds, LineWork, GHOST};
 use vlasov6d_advection::simd::transpose8x8;
 use vlasov6d_advection::{f32x8, Boundary, Scheme};
 
@@ -164,38 +166,69 @@ fn pack(lines: &[Vec<f32>]) -> Vec<f32x8> {
         .collect()
 }
 
-/// Differential-test `advect_lanes` against `advect_line` over the corpus.
+/// Line ends of one line-end source over cell type `T`; `low`/`high` are
+/// used by the ghost source only.
+fn ends_of<T>(source: &str, low: [T; GHOST], high: [T; GHOST]) -> LineEnds<T> {
+    match source {
+        "periodic" => Boundary::Periodic.into(),
+        "zero" => Boundary::Zero.into(),
+        _ => LineEnds::Ghost { low, high },
+    }
+}
+
+/// Differential-test `advect_lanes` against `advect_line` over the corpus,
+/// at lengths down to below the stencil width and for every line-end source.
 fn check_lanes(report: &mut Report) {
-    let n = 40usize;
-    let cfls = [0.3, 0.85, 0.999, -0.42, 2.7, 1e-13, 0.2];
+    let cfls = [0.3f64, 0.85, 0.999, -0.42, 2.7, 1e-13, 0.2];
     let mut worst: f64 = 0.0;
     let mut failure = None;
     let mut cases = 0usize;
     for scheme in [Scheme::Sl5, Scheme::SlMpp5] {
-        for (shape, lines) in corpus(n) {
-            let scale = lines
-                .iter()
-                .flat_map(|l| l.iter())
-                .fold(0.0f32, |m, &v| m.max(v.abs()));
-            let tol = lane_tolerance(scale);
-            for &cfl in &cfls {
-                for bc in [Boundary::Periodic, Boundary::Zero] {
-                    cases += 1;
-                    let mut bundle = pack(&lines);
-                    let mut lwork = LanesWork::new();
-                    advect_lanes(scheme, &mut bundle, cfl, bc, &mut lwork);
-                    let mut swork = LineWork::new();
-                    for (l, line) in lines.iter().enumerate() {
-                        let mut scalar = line.clone();
-                        advect_line(scheme, &mut scalar, cfl, bc, &mut swork);
-                        for (i, (v, s)) in bundle.iter().map(|v| v.0[l]).zip(&scalar).enumerate() {
-                            let err = (v - s).abs();
-                            worst = worst.max((err / tol) as f64);
-                            if err > tol && failure.is_none() {
-                                failure = Some(format!(
-                                    "{scheme:?} {shape} cfl={cfl} {bc:?} lane {l} cell {i}: \
-                                     lanes {v} vs scalar {s} (|Δ| = {err:.3e} > tol {tol:.3e})"
-                                ));
+        for n in [40usize, 2, 4, 5] {
+            // Each corpus line carries its own GHOST cells on either side.
+            for (shape, ext) in corpus(n + 2 * GHOST) {
+                let lines: Vec<Vec<f32>> =
+                    ext.iter().map(|l| l[GHOST..GHOST + n].to_vec()).collect();
+                let scale = ext
+                    .iter()
+                    .flat_map(|l| l.iter())
+                    .fold(0.0f32, |m, &v| m.max(v.abs()));
+                let tol = lane_tolerance(scale);
+                for &cfl in &cfls {
+                    for source in ["periodic", "zero", "ghost"] {
+                        if source == "ghost" && cfl.abs() >= 1.0 {
+                            continue;
+                        }
+                        cases += 1;
+                        let lane_cell = |at: usize| f32x8(core::array::from_fn(|l| ext[l][at]));
+                        let lane_ends = ends_of(
+                            source,
+                            core::array::from_fn(lane_cell),
+                            core::array::from_fn(|g| lane_cell(GHOST + n + g)),
+                        );
+                        let mut bundle = pack(&lines);
+                        let mut lwork = LanesWork::new();
+                        advect_lanes(scheme, &mut bundle, cfl, lane_ends, &mut lwork);
+                        let mut swork = LineWork::new();
+                        for (l, line) in lines.iter().enumerate() {
+                            let line_ends = ends_of(
+                                source,
+                                core::array::from_fn(|g| ext[l][g]),
+                                core::array::from_fn(|g| ext[l][GHOST + n + g]),
+                            );
+                            let mut scalar = line.clone();
+                            advect_line(scheme, &mut scalar, cfl, line_ends, &mut swork);
+                            let lane = bundle.iter().map(|v| v.0[l]);
+                            for (i, (v, s)) in lane.zip(&scalar).enumerate() {
+                                let err = (v - s).abs();
+                                worst = worst.max((err / tol) as f64);
+                                if err > tol && failure.is_none() {
+                                    failure = Some(format!(
+                                        "{scheme:?} {shape} n={n} cfl={cfl} {source} ends \
+                                         lane {l} cell {i}: lanes {v} vs scalar {s} \
+                                         (|Δ| = {err:.3e} > tol {tol:.3e})"
+                                    ));
+                                }
                             }
                         }
                     }
@@ -209,8 +242,8 @@ fn check_lanes(report: &mut Report) {
             "lanes.differential",
             format!(
                 "f32x8 kernels track the scalar path within {BUDGET_ULPS:.0} ULP · scale + \
-                 2·MIN_POSITIVE over {cases} (scheme × shape × cfl × boundary) corpus cases \
-                 (worst {:.1}% of budget)",
+                 2·MIN_POSITIVE over {cases} (scheme × length × shape × cfl × line-end \
+                 source) corpus cases (worst {:.1}% of budget)",
                 worst * 100.0
             ),
         ),

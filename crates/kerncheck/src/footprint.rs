@@ -18,8 +18,9 @@
 //!    superposition) and check the advertised radius constants;
 //! 4. check the constants line up: probed radius == `advection::GHOST` ==
 //!    `phase_space::exchange::GHOST_WIDTH`, and every per-edge byte count of
-//!    the PR 2 `ghost_exchange_plan` equals `GHOST · cross-section · vlen ·
-//!    4` — so the exchanged volume provably covers the stencil reach.
+//!    `ghost_exchange_plan` equals `ghost_plane_bytes` (`GHOST ·
+//!    cross-section · vlen · 4`) and the size of the planes the exchange
+//!    extracts — so the exchanged volume provably covers the stencil reach.
 
 use crate::model::flux_taint;
 use crate::report::Report;
@@ -29,7 +30,10 @@ use vlasov6d_advection::{Boundary, Scheme};
 use vlasov6d_mesh::stencil::{gradient_axis, laplacian, GradientOrder};
 use vlasov6d_mesh::{Decomp3, Field3};
 use vlasov6d_mpisim::{cart_neighbor_edges, PlanChecks};
-use vlasov6d_phase_space::exchange::{ghost_exchange_plan, GHOST_WIDTH};
+use vlasov6d_phase_space::exchange::{
+    extract_planes, ghost_exchange_plan, ghost_plane_bytes, GHOST_WIDTH,
+};
+use vlasov6d_phase_space::{PhaseSpace, VelocityGrid};
 
 /// Offsets `d` such that perturbing `line[i + d]` changes `advect_line`'s
 /// output at cell `i`, unioned over probe bases, perturbation sizes and the
@@ -222,7 +226,8 @@ pub fn run(report: &mut Report) {
 
     // 4b: the PR 2 comm plans exchange exactly the volume the stencil needs.
     let decomp = Decomp3::new([16, 8, 8], [2, 2, 1]);
-    let vlen = 64usize;
+    let vgrid = VelocityGrid::cubic(4, 1.0);
+    let vlen = vgrid.len();
     let checks = PlanChecks {
         topology: Some(cart_neighbor_edges(&decomp)),
         volume_symmetry: true,
@@ -237,13 +242,21 @@ pub fn run(report: &mut Report) {
             break;
         }
         for (src, _dst, _tag, bytes) in plan.send_edges() {
-            let ld = decomp.local_dims(src);
-            let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
-            let expect = (GHOST_WIDTH * cross * vlen * 4) as u64;
-            if bytes != expect {
+            // What the live exchange ships: GHOST_WIDTH planes of the rank's
+            // block, extracted by the same routine the sweeps send.
+            let block = PhaseSpace::zeros_block(
+                decomp.local_dims(src),
+                decomp.local_offset(src),
+                decomp.global,
+                vgrid,
+            );
+            let shipped = (extract_planes(&block, d, 0, GHOST_WIDTH).len() * 4) as u64;
+            let expect = ghost_plane_bytes(&decomp, src, vlen, d, GHOST_WIDTH);
+            if bytes != expect || shipped != expect {
                 plan_ok = false;
                 witness = Some(format!(
-                    "axis {d}, rank {src}: plan sends {bytes} B, stencil needs {expect} B"
+                    "axis {d}, rank {src}: plan sends {bytes} B, exchange ships {shipped} B, \
+                     stencil needs {expect} B"
                 ));
                 break;
             }
@@ -255,8 +268,9 @@ pub fn run(report: &mut Report) {
             "comm_plan.volume",
             format!(
                 "ghost-exchange plans on a {:?} decomposition verify (topology + volume \
-                 symmetry) and every send carries GHOST·cross·vlen·4 bytes — the halo \
-                 always covers the stencil reach",
+                 symmetry) and every send carries ghost_plane_bytes = GHOST·cross·vlen·4 \
+                 bytes, the size of the planes the exchange extracts — the halo always \
+                 covers the stencil reach",
                 [2, 2, 1]
             ),
         );

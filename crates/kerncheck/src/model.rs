@@ -4,8 +4,8 @@
 //! they cannot be abstract-interpreted directly. [`flux_model`] re-states the
 //! per-interface flux computation *operation for operation* over an abstract
 //! domain [`Dom`]; [`advect_line_model`] wraps it into a whole-line update
-//! mirroring `advect_line` (ghost build, integer shift, mirror trick, flux
-//! form).
+//! mirroring `advect_line` (ghost build from each line-end source, integer
+//! shift, mirror trick, flux form).
 //!
 //! The model is only evidence about the real kernels if it computes the same
 //! thing, so the crate **pins** it: instantiated at `D = f64` (where every
@@ -23,7 +23,7 @@
 
 use crate::report::Report;
 use vlasov6d_advection::flux::{mp_alpha, sl3_weights, sl5_weights, Boundary};
-use vlasov6d_advection::line::GHOST;
+use vlasov6d_advection::line::{LineEnds, GHOST};
 use vlasov6d_advection::Scheme;
 
 /// An abstract domain: the value set the model computes over.
@@ -190,30 +190,43 @@ pub fn update_model<D: Dom>(ghost_center: &D, flux_out: &D, flux_in: &D) -> D {
 }
 
 /// Whole-line model at `D = f64`: mirrors `advect_line` (mirror trick,
-/// integer shift, ghost sampling, flux form, final `f32` cast) but routes all
-/// per-cell arithmetic through [`flux_model`]/[`update_model`]. Used to pin
-/// the model to the real kernel bitwise.
-pub fn advect_line_model(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary) {
-    let n = line.len();
-    if n == 0 || cfl == 0.0 {
+/// integer shift, ghost sampling from periodic, zero or caller-supplied
+/// ends, flux form, final `f32` cast) but routes all per-cell arithmetic
+/// through [`flux_model`]/[`update_model`]. Used to pin the model to the
+/// real kernel bitwise.
+pub fn advect_line_model(
+    scheme: Scheme,
+    line: &mut [f32],
+    cfl: f64,
+    ends: impl Into<LineEnds<f32>>,
+) {
+    let ends = ends.into();
+    if line.is_empty() || cfl == 0.0 {
         return;
     }
-    assert!(n >= 2 * GHOST, "line too short for the stencil: {n}");
     if cfl < 0.0 {
+        // The reversed line sees its ghost sides swapped and read backwards.
+        let ends = match ends {
+            LineEnds::Ghost { low, high } => LineEnds::Ghost {
+                low: core::array::from_fn(|k| high[GHOST - 1 - k]),
+                high: core::array::from_fn(|k| low[GHOST - 1 - k]),
+            },
+            other => other,
+        };
         line.reverse();
-        advect_positive_model(scheme, line, -cfl, bc);
+        advect_positive_model(scheme, line, -cfl, ends);
         line.reverse();
     } else {
-        advect_positive_model(scheme, line, cfl, bc);
+        advect_positive_model(scheme, line, cfl, ends);
     }
 }
 
-fn advect_positive_model(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundary) {
+fn advect_positive_model(scheme: Scheme, line: &mut [f32], cfl: f64, ends: LineEnds<f32>) {
     let n = line.len();
     let n_int = cfl.floor() as i64;
     let s = cfl - n_int as f64;
     let ghost: Vec<f64> = (0..n + 2 * GHOST)
-        .map(|j| sample(line, j as i64 - GHOST as i64 - n_int, bc))
+        .map(|j| sample(line, j as i64 - GHOST as i64 - n_int, &ends))
         .collect();
     let w = Weights::concrete(s);
     let zero_flux = matches!(scheme, Scheme::SlMpp5) && s < 1e-12;
@@ -232,15 +245,20 @@ fn advect_positive_model(scheme: Scheme, line: &mut [f32], cfl: f64, bc: Boundar
     }
 }
 
-fn sample(line: &[f32], idx: i64, bc: Boundary) -> f64 {
+fn sample(line: &[f32], idx: i64, ends: &LineEnds<f32>) -> f64 {
     let n = line.len() as i64;
-    match bc {
-        Boundary::Periodic => line[idx.rem_euclid(n) as usize] as f64,
-        Boundary::Zero => {
-            if idx < 0 || idx >= n {
-                0.0
+    let inside = (0..n).contains(&idx);
+    match ends {
+        LineEnds::Periodic => line[idx.rem_euclid(n) as usize] as f64,
+        _ if inside => line[idx as usize] as f64,
+        LineEnds::Zero => 0.0,
+        LineEnds::Ghost { low, high } => {
+            // Only the GHOST cells on either side exist.
+            assert!((-(GHOST as i64)..n + GHOST as i64).contains(&idx));
+            if idx < 0 {
+                low[(GHOST as i64 + idx) as usize] as f64
             } else {
-                line[idx as usize] as f64
+                high[(idx - n) as usize] as f64
             }
         }
     }
@@ -333,11 +351,12 @@ pub fn flux_taint(scheme: Scheme) -> FluxTrace<Taint> {
     flux_model(scheme, &stencil, &w)
 }
 
-/// Pin the model to the real kernel: every scheme, both boundaries, a sweep
-/// of integer+fractional shifts, random lines — outputs must agree to the
-/// bit (`f32` equality; both paths do their arithmetic in `f64` and cast
-/// once). This is the load-bearing check that transfers every abstract
-/// result back to the shipped code.
+/// Pin the model to the real kernel: every scheme, every line-end source
+/// (periodic, zero, caller-supplied ghost cells), a sweep of
+/// integer+fractional shifts, random lines long and shorter than the stencil
+/// — outputs must agree to the bit (`f32` equality; both paths do their
+/// arithmetic in `f64` and cast once). This is the load-bearing check that
+/// transfers every abstract result back to the shipped code.
 pub fn check_model_parity(report: &mut Report) {
     let mut state = 0x9e3779b97f4a7c15u64;
     let mut next = move || {
@@ -347,7 +366,7 @@ pub fn check_model_parity(report: &mut Report) {
         ((state >> 11) as f64 / (1u64 << 53) as f64) as f32
     };
     let schemes = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5];
-    let cfls = [
+    let cfls: [f64; 13] = [
         0.0,
         1e-13,
         0.1,
@@ -366,22 +385,39 @@ pub fn check_model_parity(report: &mut Report) {
     let mut mismatch = None;
     for scheme in schemes {
         for &cfl in &cfls {
-            for bc in [Boundary::Periodic, Boundary::Zero] {
-                let base: Vec<f32> = (0..48).map(|_| next() * 2.0).collect();
-                let mut real = base.clone();
-                let mut modeled = base.clone();
-                let mut work = vlasov6d_advection::line::LineWork::new();
-                vlasov6d_advection::advect_line(scheme, &mut real, cfl, bc, &mut work);
-                advect_line_model(scheme, &mut modeled, cfl, bc);
-                cases += 1;
-                if mismatch.is_none() {
-                    for (i, (a, b)) in real.iter().zip(&modeled).enumerate() {
-                        let same = a == b || (a.is_nan() && b.is_nan());
-                        if !same {
-                            mismatch = Some(format!(
-                                "{scheme:?} cfl={cfl} {bc:?} cell {i}: kernel {a} vs model {b}"
-                            ));
-                            break;
+            for n in [48usize, 2, 5] {
+                for source in ["periodic", "zero", "ghost"] {
+                    // Ghost ends exist only for sub-cell shifts.
+                    if source == "ghost" && cfl.abs() >= 1.0 {
+                        continue;
+                    }
+                    let mut ghost = [0.0f32; 2 * GHOST];
+                    ghost.iter_mut().for_each(|g| *g = next() * 2.0);
+                    let ends: LineEnds<f32> = match source {
+                        "periodic" => Boundary::Periodic.into(),
+                        "zero" => Boundary::Zero.into(),
+                        _ => LineEnds::Ghost {
+                            low: core::array::from_fn(|k| ghost[k]),
+                            high: core::array::from_fn(|k| ghost[GHOST + k]),
+                        },
+                    };
+                    let base: Vec<f32> = (0..n).map(|_| next() * 2.0).collect();
+                    let mut real = base.clone();
+                    let mut modeled = base.clone();
+                    let mut work = vlasov6d_advection::line::LineWork::new();
+                    vlasov6d_advection::advect_line(scheme, &mut real, cfl, ends, &mut work);
+                    advect_line_model(scheme, &mut modeled, cfl, ends);
+                    cases += 1;
+                    if mismatch.is_none() {
+                        for (i, (a, b)) in real.iter().zip(&modeled).enumerate() {
+                            let same = a == b || (a.is_nan() && b.is_nan());
+                            if !same {
+                                mismatch = Some(format!(
+                                    "{scheme:?} cfl={cfl} n={n} {source} ends cell {i}: \
+                                     kernel {a} vs model {b}"
+                                ));
+                                break;
+                            }
                         }
                     }
                 }
@@ -394,7 +430,8 @@ pub fn check_model_parity(report: &mut Report) {
             "model.f64_parity",
             format!(
                 "domain model reproduces advect_line bit-for-bit on {cases} \
-                 (scheme × cfl × boundary) random-line cases — abstract results transfer"
+                 (scheme × cfl × length × line-end source) random-line cases — abstract \
+                 results transfer"
             ),
         ),
         Some(w) => report.violated(

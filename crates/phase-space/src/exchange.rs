@@ -5,16 +5,21 @@
 //! half-width of the SL-MPP5 stencil). The exchange is the dominant
 //! communication of the Vlasov part: each plane carries the full velocity
 //! grid, `width · (Π other spatial dims) · Nu · 4` bytes — the quantity the
-//! performance model prices.
+//! performance model prices ([`ghost_plane_bytes`]).
+//!
+//! Both distributed sweeps are schedules over the one plan-driven spatial
+//! sweep of [`crate::sweep::sweep_lines`] — the same tasks, lane batching,
+//! LAT staging and pool as the serial sweep — whose lines take their ends
+//! from the received planes ([`SpatialEnds::Ghost`]). The kernel comes from
+//! [`Exec::for_grid`].
 //!
 //! Distributed sweeps require `|cfl| < 1` so the upwind stencil never reaches
 //! beyond the exchanged planes; the time-step controller in `vlasov6d`
 //! guarantees this (the paper does the same — spatial CFL below unity).
 
 use crate::dist_fn::PhaseSpace;
-use crate::sweep::{partition_axis, Exec};
-use vlasov6d_advection::line::{advect_line, LineWork, Scheme};
-use vlasov6d_advection::Boundary;
+use crate::sweep::{sweep_lines, Exec, SpatialEnds};
+use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Decomp3;
 use vlasov6d_mpisim::{Cart3, CommPlan};
 
@@ -23,6 +28,21 @@ use vlasov6d_mpisim::{Cart3, CommPlan};
 /// exchange layer and the advection kernels cannot drift apart (kerncheck's
 /// footprint pass additionally proves both equal the probed stencil radius).
 pub const GHOST_WIDTH: usize = vlasov6d_advection::GHOST;
+
+/// Bytes of the `width` edge planes rank `rank` ships along axis `d`:
+/// `width · (Π of its other local dims) · vlen · 4`. The one definition
+/// behind both exchange plans and kerncheck's per-edge byte audit.
+pub fn ghost_plane_bytes(
+    decomp: &Decomp3,
+    rank: usize,
+    vlen: usize,
+    d: usize,
+    width: usize,
+) -> u64 {
+    let ld = decomp.local_dims(rank);
+    let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
+    (width * cross * vlen * std::mem::size_of::<f32>()) as u64
+}
 
 /// Declarative communication plan of [`exchange_ghosts`] over the whole
 /// process grid: per rank, a send of its low planes to the low neighbour
@@ -40,21 +60,17 @@ pub fn ghost_exchange_plan(
     tag: u64,
 ) -> CommPlan {
     let mut plan = CommPlan::new(format!("ghost_exchange.axis{d}"), decomp.n_ranks());
-    let plane_bytes = |rank: usize| -> u64 {
-        let ld = decomp.local_dims(rank);
-        let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
-        (width * cross * vlen * std::mem::size_of::<f32>()) as u64
-    };
+    let bytes = |rank| ghost_plane_bytes(decomp, rank, vlen, d, width);
     for r in 0..decomp.n_ranks() {
         let low = decomp.neighbor(r, d, -1);
         let high = decomp.neighbor(r, d, 1);
         // Mirrors the two shift_exchange calls of `exchange_ghosts`, in
         // program order: low planes toward -1 under `tag`, high planes
         // toward +1 under `tag + 1`.
-        plan.send(r, low, tag, plane_bytes(r));
-        plan.recv(r, high, tag, plane_bytes(high));
-        plan.send(r, high, tag + 1, plane_bytes(r));
-        plan.recv(r, low, tag + 1, plane_bytes(low));
+        plan.send(r, low, tag, bytes(r));
+        plan.recv(r, high, tag, bytes(high));
+        plan.send(r, high, tag + 1, bytes(r));
+        plan.recv(r, low, tag + 1, bytes(low));
     }
     plan
 }
@@ -72,19 +88,15 @@ pub fn ghost_exchange_split_plan(
     tag: u64,
 ) -> CommPlan {
     let mut plan = CommPlan::new(format!("ghost_exchange_split.axis{d}"), decomp.n_ranks());
-    let plane_bytes = |rank: usize| -> u64 {
-        let ld = decomp.local_dims(rank);
-        let cross: usize = (0..3).filter(|&a| a != d).map(|a| ld[a]).product();
-        (width * cross * vlen * std::mem::size_of::<f32>()) as u64
-    };
+    let bytes = |rank| ghost_plane_bytes(decomp, rank, vlen, d, width);
     for r in 0..decomp.n_ranks() {
         let low = decomp.neighbor(r, d, -1);
         let high = decomp.neighbor(r, d, 1);
         // Post phase (before the interior sweep)...
-        plan.isend(r, low, tag, plane_bytes(r));
-        plan.irecv(r, high, tag, plane_bytes(high));
-        plan.isend(r, high, tag + 1, plane_bytes(r));
-        plan.irecv(r, low, tag + 1, plane_bytes(low));
+        plan.isend(r, low, tag, bytes(r));
+        plan.irecv(r, high, tag, bytes(high));
+        plan.isend(r, high, tag + 1, bytes(r));
+        plan.irecv(r, low, tag + 1, bytes(low));
         // ...then the waits (after it), receives first.
         plan.wait_recv(r, high, tag);
         plan.wait_recv(r, low, tag + 1);
@@ -92,6 +104,28 @@ pub fn ghost_exchange_split_plan(
         plan.wait_send(r, high, tag + 1);
     }
     plan
+}
+
+/// Copy `width` planes along one axis between two buffers with the same
+/// outer and trailing extents (`stride` values per plane): planes
+/// `[src_start, src_start + width)` of `src`, which holds `src_n` planes per
+/// outer index, land at `dst_start` in `dst` (`dst_n` planes per outer
+/// index). Line order is preserved.
+fn copy_planes(
+    src: &[f32],
+    src_n: usize,
+    src_start: usize,
+    dst: &mut [f32],
+    dst_n: usize,
+    dst_start: usize,
+    width: usize,
+    stride: usize,
+) {
+    let chunk = width * stride;
+    let src_blocks = src.chunks_exact(src_n * stride);
+    for (s, t) in src_blocks.zip(dst.chunks_exact_mut(dst_n * stride)) {
+        t[dst_start * stride..][..chunk].copy_from_slice(&s[src_start * stride..][..chunk]);
+    }
 }
 
 /// Extract `width` planes `[start, start+width)` along spatial axis `d` into
@@ -103,15 +137,7 @@ pub fn extract_planes(ps: &PhaseSpace, d: usize, start: usize, width: usize) -> 
     let stride: usize = dims[d + 1..].iter().product();
     let n_outer: usize = dims[..d].iter().product();
     let mut out = vec![0.0f32; n_outer * width * stride];
-    let data = ps.as_slice();
-    let mut o = 0;
-    for outer in 0..n_outer {
-        for g in 0..width {
-            let src = (outer * n + start + g) * stride;
-            out[o..o + stride].copy_from_slice(&data[src..src + stride]);
-            o += stride;
-        }
-    }
+    copy_planes(ps.as_slice(), n, start, &mut out, width, 0, width, stride);
     out
 }
 
@@ -143,10 +169,28 @@ pub fn exchange_ghosts(
     (from_low, from_high)
 }
 
+/// Argument checks shared by both distributed sweeps; returns the kernel
+/// the sweep runs ([`Exec::for_grid`]).
+fn distributed_exec(ps: &PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: Scheme) -> Exec {
+    assert!(d < 3);
+    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
+    assert!(
+        cfl_per_u.iter().all(|c| c.abs() < 1.0),
+        "distributed sweeps require |cfl| < 1 (ghost width {GHOST_WIDTH})"
+    );
+    assert!(
+        ps.sdims[d] >= GHOST_WIDTH,
+        "block thinner than the ghost width along axis {d}"
+    );
+    Exec::for_grid(scheme, ps.vgrid.n)
+}
+
 /// Distributed spatial sweep along axis `d` with `|cfl| < 1` for every
-/// velocity index. Uses the scalar kernel (the SIMD variants cover the
-/// single-rank hot path benchmarked in Table 1; the distributed correctness
-/// path favours clarity).
+/// velocity index: exchange the ghost planes, then run the spatial sweep
+/// with ghost line ends. Each line sees exactly the stencil values of the
+/// same line in the undecomposed periodic grid, so with the kernel of
+/// [`Exec::for_grid`] the result equals [`crate::sweep::sweep_spatial`] at
+/// that exec bit for bit.
 pub fn sweep_spatial_distributed(
     ps: &mut PhaseSpace,
     cart: &Cart3<'_>,
@@ -155,91 +199,50 @@ pub fn sweep_spatial_distributed(
     scheme: Scheme,
     tag: u64,
 ) {
-    assert!(d < 3);
-    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
-    assert!(
-        cfl_per_u.iter().all(|c| c.abs() < 1.0),
-        "distributed sweeps require |cfl| < 1 (ghost width {GHOST_WIDTH})"
-    );
+    let exec = distributed_exec(ps, d, cfl_per_u, scheme);
     const SPAN: [&str; 3] = ["sweep.dist.x", "sweep.dist.y", "sweep.dist.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
-    let (from_low, from_high) = {
+    let (low, high) = {
         let _g = vlasov6d_obs::span!("sweep.ghost_exchange");
         // The blocking exchange serialises before the sweep: all of its
         // time is exposed on the critical path.
         let _e = vlasov6d_obs::span!("comm.exposed");
         exchange_ghosts(ps, cart, d, GHOST_WIDTH, tag)
     };
-    advect_lines_with_ghosts(ps, d, cfl_per_u, scheme, &from_low, &from_high);
-}
-
-/// Advect every pencil of `ps` along axis `d` through a ghost-extended line
-/// assembled from the received neighbour planes — the shared core of the
-/// synchronous sweep and the thin-block path of the overlapped one.
-fn advect_lines_with_ghosts(
-    ps: &mut PhaseSpace,
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    from_low: &[f32],
-    from_high: &[f32],
-) {
     let dims = ps.dims6();
-    let n = dims[d];
-    let stride: usize = dims[d + 1..].iter().product();
-    let n_outer: usize = dims[..d].iter().product();
-    let mut ext = vec![0.0f32; n + 2 * GHOST_WIDTH];
-    let mut work = LineWork::new();
-    let data = ps.as_mut_slice();
-
-    for outer in 0..n_outer {
-        for inner in 0..stride {
-            let iu_d = velocity_index_of_inner(d, inner, &dims);
-            let cfl = cfl_per_u[iu_d];
-            // Assemble the ghost-extended line.
-            for g in 0..GHOST_WIDTH {
-                ext[g] = from_low[(outer * GHOST_WIDTH + g) * stride + inner];
-                ext[GHOST_WIDTH + n + g] = from_high[(outer * GHOST_WIDTH + g) * stride + inner];
-            }
-            for i in 0..n {
-                ext[GHOST_WIDTH + i] = data[(outer * n + i) * stride + inner];
-            }
-            // With |cfl| < 1 the update of the interior cells never consults
-            // values beyond the ghost planes, so the boundary condition on
-            // the extended buffer is irrelevant to them.
-            advect_line(scheme, &mut ext, cfl, Boundary::Zero, &mut work);
-            for i in 0..n {
-                data[(outer * n + i) * stride + inner] = ext[GHOST_WIDTH + i];
-            }
-        }
-    }
+    let ends = SpatialEnds::Ghost {
+        low: &low,
+        high: &high,
+    };
+    sweep_lines(ps.as_mut_slice(), dims, d, cfl_per_u, scheme, exec, ends);
 }
 
 /// Distributed spatial sweep along axis `d` that hides the ghost exchange
 /// behind the interior advection — the paper's overlap of halo traffic with
-/// the spatial sweeps. Bitwise-identical to [`sweep_spatial_distributed`]:
+/// the spatial sweeps. The same sweep as [`sweep_spatial_distributed`] under
+/// a second schedule, and bitwise identical to it:
 ///
 /// 1. **Post** the ghost-plane `isend`/`irecv` pairs (same neighbours, tags
 ///    and byte counts as the blocking exchange).
-/// 2. **Interior** (`comm.hidden` span): advect every pencil over the raw
-///    local line and keep the cells of [`partition_axis`]'s interior — their
-///    `±GHOST_WIDTH` stencils never leave the block, so no value a ghost
-///    plane could influence is touched.
+/// 2. **Interior** (`comm.hidden` span): save the `2·GHOST_WIDTH` planes at
+///    each end, then sweep the block with zero line ends. Cells of
+///    [`crate::partition_axis`]'s interior keep their result — their
+///    `±GHOST_WIDTH` stencils never leave the block.
 /// 3. **Wait** (`comm.exposed` span): collect the four requests; only this
 ///    remainder of the exchange sits on the critical path.
-/// 4. **Boundary**: advect each boundary cell inside a `3·GHOST_WIDTH`
-///    window of received ghosts plus saved pre-sweep planes, which holds
-///    exactly the values the synchronous ghost-extended line holds over the
-///    cell's stencil.
+/// 4. **Boundary**: sweep the `GHOST_WIDTH` saved edge planes at each end as
+///    a window whose ghost ends are the received planes on the outside and
+///    the saved pre-sweep planes next to it on the inside, and copy the
+///    windows back into the block. Their stencils hold the same values as
+///    in the synchronous sweep.
 ///
-/// Every advected cell sees the same stencil values through the same kernel
-/// as the synchronous path, and the kernel is a pure per-cell function of its
-/// stencil window — hence bit-for-bit equality, which
+/// The kernel is a pure per-cell function of its stencil window, so every
+/// kept cell equals the synchronous result bit for bit, which
 /// `tests/distributed_consistency.rs` enforces for every scheme and rank
 /// count.
 ///
 /// Blocks thinner than `2·GHOST_WIDTH` along `d` have no interior; they wait
-/// immediately and take the synchronous pencil path.
+/// immediately and take the synchronous sweep.
 pub fn sweep_spatial_overlapped(
     ps: &mut PhaseSpace,
     cart: &Cart3<'_>,
@@ -248,20 +251,12 @@ pub fn sweep_spatial_overlapped(
     scheme: Scheme,
     tag: u64,
 ) {
-    assert!(d < 3);
-    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
-    assert!(
-        cfl_per_u.iter().all(|c| c.abs() < 1.0),
-        "distributed sweeps require |cfl| < 1 (ghost width {GHOST_WIDTH})"
-    );
+    let exec = distributed_exec(ps, d, cfl_per_u, scheme);
     const SPAN: [&str; 3] = ["sweep.overlap.x", "sweep.overlap.y", "sweep.overlap.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
-
+    let gw = GHOST_WIDTH;
     let n = ps.sdims[d];
-    assert!(
-        n >= GHOST_WIDTH,
-        "block thinner than the ghost width along axis {d}"
-    );
+    let dims = ps.dims6();
     let comm = cart.comm();
     let low_nb = cart.neighbor(d, -1);
     let high_nb = cart.neighbor(d, 1);
@@ -269,122 +264,61 @@ pub fn sweep_spatial_overlapped(
     // Post phase: the same messages (edges, tags, sizes) as
     // `exchange_ghosts`, so plan verification, traffic accounting and the
     // kerncheck byte audit see an identical exchange.
-    let my_low = extract_planes(ps, d, 0, GHOST_WIDTH);
-    let my_high = extract_planes(ps, d, n - GHOST_WIDTH, GHOST_WIDTH);
-    let send_low = comm.isend(low_nb, tag, my_low);
+    let send_low = comm.isend(low_nb, tag, extract_planes(ps, d, 0, gw));
     let recv_high = comm.irecv::<Vec<f32>>(high_nb, tag);
-    let send_high = comm.isend(high_nb, tag + 1, my_high);
+    let send_high = comm.isend(high_nb, tag + 1, extract_planes(ps, d, n - gw, gw));
     let recv_low = comm.irecv::<Vec<f32>>(low_nb, tag + 1);
+    // Wait phase: only this remainder of the exchange is exposed.
+    let wait = || {
+        let _e = vlasov6d_obs::span!("comm.exposed");
+        let high = recv_high.wait();
+        let low = recv_low.wait();
+        send_low.wait();
+        send_high.wait();
+        (low, high)
+    };
 
-    if n < 2 * GHOST_WIDTH {
-        // No interior to hide the messages behind: wait now and take the
-        // synchronous pencil path.
-        let (from_low, from_high) = {
-            let _e = vlasov6d_obs::span!("comm.exposed");
-            let from_high = recv_high.wait();
-            let from_low = recv_low.wait();
-            send_low.wait();
-            send_high.wait();
-            (from_low, from_high)
+    if n < 2 * gw {
+        // No interior to hide the messages behind.
+        let (low, high) = wait();
+        let ends = SpatialEnds::Ghost {
+            low: &low,
+            high: &high,
         };
-        advect_lines_with_ghosts(ps, d, cfl_per_u, scheme, &from_low, &from_high);
+        sweep_lines(ps.as_mut_slice(), dims, d, cfl_per_u, scheme, exec, ends);
         return;
     }
 
-    // The interior write-back clobbers cells [GHOST_WIDTH, 2·GHOST_WIDTH)
-    // and [n − 2·GHOST_WIDTH, n − GHOST_WIDTH), which the boundary stencils
-    // still need at their pre-sweep values: save those planes first.
-    let save_low = extract_planes(ps, d, 0, 2 * GHOST_WIDTH);
-    let save_high = extract_planes(ps, d, n - 2 * GHOST_WIDTH, 2 * GHOST_WIDTH);
-
-    let part = partition_axis(n, GHOST_WIDTH);
-    let dims = ps.dims6();
-    let stride: usize = dims[d + 1..].iter().product();
-    let n_outer: usize = dims[..d].iter().product();
-
-    // Interior phase, while the ghost planes are in flight.
+    // The interior pass overwrites the planes the boundary stencils still
+    // need at their pre-sweep values: save the `2·GHOST_WIDTH` planes at each
+    // end. The outer `GHOST_WIDTH` form the window, the inner ones its ghost
+    // end facing the interior.
+    let mut edge_low = extract_planes(ps, d, 0, gw);
+    let inner_low = extract_planes(ps, d, gw, gw);
+    let inner_high = extract_planes(ps, d, n - 2 * gw, gw);
+    let mut edge_high = extract_planes(ps, d, n - gw, gw);
     {
         let _h = vlasov6d_obs::span!("comm.hidden");
-        let mut line = vec![0.0f32; n];
-        let mut work = LineWork::new();
-        let data = ps.as_mut_slice();
-        for outer in 0..n_outer {
-            for inner in 0..stride {
-                let cfl = cfl_per_u[velocity_index_of_inner(d, inner, &dims)];
-                for (i, v) in line.iter_mut().enumerate() {
-                    *v = data[(outer * n + i) * stride + inner];
-                }
-                advect_line(scheme, &mut line, cfl, Boundary::Zero, &mut work);
-                for i in part.interior.clone() {
-                    data[(outer * n + i) * stride + inner] = line[i];
-                }
-            }
-        }
+        let ends = SpatialEnds::Zero;
+        sweep_lines(ps.as_mut_slice(), dims, d, cfl_per_u, scheme, exec, ends);
     }
+    let (low, high) = wait();
 
-    // Wait phase: only this remainder of the exchange is exposed.
-    let (from_low, from_high) = {
-        let _e = vlasov6d_obs::span!("comm.exposed");
-        let from_high = recv_high.wait();
-        let from_low = recv_low.wait();
-        send_low.wait();
-        send_high.wait();
-        (from_low, from_high)
-    };
-
-    // Boundary phase. Window coordinates: low side spans cells
-    // [−GHOST_WIDTH, 2·GHOST_WIDTH), high side [n − 2·GHOST_WIDTH,
-    // n + GHOST_WIDTH); a boundary cell sits GHOST_WIDTH deep, so its full
-    // stencil lies inside the window and the line boundary condition is
-    // never sampled.
-    let gw = GHOST_WIDTH;
-    let mut window = vec![0.0f32; 3 * gw];
-    let mut work = LineWork::new();
+    // Boundary phase: both ends of each window are exact, so every window
+    // cell equals the synchronous result.
+    let mut window_dims = dims;
+    window_dims[d] = gw;
+    for (window, low, high) in [
+        (&mut edge_low, &low, &inner_low),
+        (&mut edge_high, &inner_high, &high),
+    ] {
+        let ends = SpatialEnds::Ghost { low, high };
+        sweep_lines(window, window_dims, d, cfl_per_u, scheme, exec, ends);
+    }
+    let stride: usize = dims[d + 1..].iter().product();
     let data = ps.as_mut_slice();
-    for outer in 0..n_outer {
-        for inner in 0..stride {
-            let cfl = cfl_per_u[velocity_index_of_inner(d, inner, &dims)];
-            // Low side.
-            for g in 0..gw {
-                window[g] = from_low[(outer * gw + g) * stride + inner];
-            }
-            for j in 0..2 * gw {
-                window[gw + j] = save_low[(outer * 2 * gw + j) * stride + inner];
-            }
-            advect_line(scheme, &mut window, cfl, Boundary::Zero, &mut work);
-            for i in part.low.clone() {
-                data[(outer * n + i) * stride + inner] = window[gw + i];
-            }
-            // High side.
-            for j in 0..2 * gw {
-                window[j] = save_high[(outer * 2 * gw + j) * stride + inner];
-            }
-            for g in 0..gw {
-                window[2 * gw + g] = from_high[(outer * gw + g) * stride + inner];
-            }
-            advect_line(scheme, &mut window, cfl, Boundary::Zero, &mut work);
-            for (t, i) in part.high.clone().enumerate() {
-                data[(outer * n + i) * stride + inner] = window[gw + t];
-            }
-        }
-    }
-}
-
-#[inline]
-fn velocity_index_of_inner(d: usize, inner: usize, dims: &[usize; 6]) -> usize {
-    let stride_ud: usize = dims[3 + d + 1..].iter().product();
-    (inner / stride_ud) % dims[3 + d]
-}
-
-/// Serial reference used by tests and the single-rank driver: sweep with the
-/// same code path but periodic wrap instead of exchanged ghosts.
-pub fn sweep_spatial_serial_reference(
-    ps: &mut PhaseSpace,
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-) {
-    crate::sweep::sweep_spatial(ps, d, cfl_per_u, scheme, Exec::Scalar);
+    copy_planes(&edge_low, gw, 0, data, n, 0, gw, stride);
+    copy_planes(&edge_high, gw, 0, data, n, n - gw, gw, stride);
 }
 
 #[cfg(test)]
@@ -417,17 +351,24 @@ mod tests {
         }
     }
 
+    /// The distributed sweep is the serial periodic sweep at the exec the
+    /// kernel rule picks, bit for bit: every line sees the same stencil
+    /// values through the same kernel, whether its ends wrap or arrive as
+    /// ghost planes. The 4-cell local blocks make every line shorter than
+    /// the stencil reach.
     #[test]
     fn distributed_sweep_matches_serial() {
         let vg = VelocityGrid::cubic(8, 1.0);
         let sglobal = [8usize, 8, 8];
         let cfl: Vec<f64> = (0..8).map(|k| 0.22 * (k as f64 - 3.5) / 3.5).collect();
+        let exec = Exec::for_grid(Scheme::SlMpp5, vg.n);
+        assert_eq!(exec, Exec::Simd);
 
         // Serial reference.
         let mut serial = PhaseSpace::zeros(sglobal, vg);
         serial.fill_with(global_fill);
         for d in 0..3 {
-            sweep_spatial_serial_reference(&mut serial, d, &cfl, Scheme::SlMpp5);
+            crate::sweep::sweep_spatial(&mut serial, d, &cfl, Scheme::SlMpp5, exec);
         }
 
         // Distributed run on a 2×2×2 process grid.
@@ -464,7 +405,7 @@ mod tests {
                         let got = &data[cell * vlen..(cell + 1) * vlen];
                         for (a, b) in got.iter().zip(sref) {
                             assert!(
-                                (a - b).abs() < 1e-6,
+                                a.to_bits() == b.to_bits(),
                                 "mismatch at block {off:?} cell ({lx},{ly},{lz}): {a} vs {b}"
                             );
                         }
@@ -549,15 +490,20 @@ mod tests {
         // The tentpole guarantee at sweep granularity: for every scheme, for
         // decomposed and wrapped axes, for blocks thick enough to overlap and
         // thin enough to hit the fallback (n = 4 < 2·GHOST_WIDTH), the
-        // overlapped sweep reproduces the synchronous sweep bit for bit.
-        let vg = VelocityGrid::cubic(4, 0.8);
-        // Mixed-sign CFL numbers so both line orientations are exercised.
-        let cfl: Vec<f64> = (0..4).map(|k| 0.45 * (k as f64 - 1.5)).collect();
-        for &(ranks, sglobal) in &[
-            (1usize, [8usize, 4, 4]), // n = 8, self-wrap neighbours
-            (2, [16, 4, 4]),          // n = 8, distinct neighbours
-            (4, [16, 4, 4]),          // n = 4, thin-block fallback
+        // overlapped sweep reproduces the synchronous sweep bit for bit. The
+        // 4-cell velocity grid runs the scalar kernel, the 8-cell one the
+        // lanes kernel for SL5 / SL-MPP5 (`Exec::for_grid`).
+        for &(ranks, sglobal, nv) in &[
+            (1usize, [8usize, 4, 4], 4usize), // n = 8, self-wrap neighbours
+            (2, [16, 4, 4], 4),               // n = 8, distinct neighbours
+            (4, [16, 4, 4], 4),               // n = 4, thin-block fallback
+            (2, [16, 4, 4], 8),
+            (4, [16, 4, 4], 8),
         ] {
+            let vg = VelocityGrid::cubic(nv, 0.8);
+            // Mixed-sign CFL numbers so both line orientations are exercised.
+            let mid = (nv as f64 - 1.0) / 2.0;
+            let cfl: Vec<f64> = (0..nv).map(|k| 0.675 * (k as f64 - mid) / mid).collect();
             let decomp = Decomp3::new(sglobal, [ranks, 1, 1]);
             for scheme in [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5] {
                 let cfl = cfl.clone();

@@ -181,14 +181,14 @@ pub fn velocity_block(dims: &[usize; 6], cell: usize) -> std::ops::Range<usize> 
 // ---------------------------------------------------------------------------
 // Intra-block pencil partitions (serial loops inside one velocity task).
 //
-// These describe how `sweep_block_u{x,y,z}` partition one cell's velocity
+// These describe how `sweep_block_uxy` / `sweep_block_uz` partition one cell's velocity
 // block into pencils. They are not parallel tasks — each block is owned by
 // a single worker — but racecheck proves the same property for them: the
 // pencil write sets of one block partition it exactly, which pins down the
 // Fig. 1–3 index arithmetic.
 // ---------------------------------------------------------------------------
 
-/// Number of pencil units `sweep_block_u<d>` iterates for one block.
+/// Number of pencil units the block sweep along `u_d` iterates for one block.
 pub fn block_unit_count(nux: usize, nuy: usize, nuz: usize, d: usize, exec: Exec) -> usize {
     match (d, exec) {
         (0, Exec::Scalar) => nuy * nuz,
@@ -201,7 +201,7 @@ pub fn block_unit_count(nux: usize, nuy: usize, nuz: usize, d: usize, exec: Exec
     }
 }
 
-/// `sweep_block_ux`, scalar: unit = inner index over (iuy, iuz).
+/// `sweep_block_uxy` along u_x, scalar: unit = inner index over (iuy, iuz).
 pub fn block_ux_line(nuy: usize, nuz: usize, nux: usize, unit: usize) -> Line {
     Line {
         base: unit,
@@ -210,7 +210,7 @@ pub fn block_ux_line(nuy: usize, nuz: usize, nux: usize, unit: usize) -> Line {
     }
 }
 
-/// `sweep_block_ux`, SIMD: unit = 8-lane inner group (Fig. 1 shape).
+/// `sweep_block_uxy` along u_x, SIMD: unit = 8-lane inner group (Fig. 1 shape).
 pub fn block_ux_bundle(nuy: usize, nuz: usize, nux: usize, unit: usize) -> Bundle {
     Bundle {
         base: unit * LANES,
@@ -220,7 +220,7 @@ pub fn block_ux_bundle(nuy: usize, nuz: usize, nux: usize, unit: usize) -> Bundl
     }
 }
 
-/// `sweep_block_uy`, scalar: unit = `iux * nuz + iuz`.
+/// `sweep_block_uxy` along u_y, scalar: unit = `iux * nuz + iuz`.
 pub fn block_uy_line(nuy: usize, nuz: usize, unit: usize) -> Line {
     let (iux, iuz) = (unit / nuz, unit % nuz);
     Line {
@@ -230,7 +230,7 @@ pub fn block_uy_line(nuy: usize, nuz: usize, unit: usize) -> Line {
     }
 }
 
-/// `sweep_block_uy`, SIMD: unit = `iux * (nuz/8) + zgroup`.
+/// `sweep_block_uxy` along u_y, SIMD: unit = `iux * (nuz/8) + zgroup`.
 pub fn block_uy_bundle(nuy: usize, nuz: usize, unit: usize) -> Bundle {
     let groups = nuz / LANES;
     let (iux, group) = (unit / groups, unit % groups);

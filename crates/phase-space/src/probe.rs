@@ -11,13 +11,8 @@
 
 use crate::dist_fn::PhaseSpace;
 use crate::plan;
-use crate::sweep::{
-    spatial_bundle_task, spatial_scalar_task, spatial_tile_task, velocity_cell_task, Exec,
-    SendMutPtr, VelocityWork,
-};
-use vlasov6d_advection::lanes::LanesWork;
-use vlasov6d_advection::line::{LineWork, Scheme};
-use vlasov6d_advection::simd::{f32x8, LANES};
+use crate::sweep::{velocity_cell_task, Exec, SendMutPtr, SpatialEnds, SpatialSweep, SweepWork};
+use vlasov6d_advection::line::Scheme;
 use vlasov6d_mesh::Field3;
 
 /// Number of parallel tasks `sweep_spatial(ps, d, .., exec)` would launch.
@@ -25,36 +20,31 @@ pub fn spatial_task_count(ps: &PhaseSpace, d: usize, exec: Exec) -> usize {
     plan::spatial_task_count(&ps.dims6(), d, exec)
 }
 
-/// Execute exactly one task of the spatial-sweep region — the same body the
-/// parallel region runs, with fresh scratch state.
+/// Execute exactly one task of the spatial-sweep region with line ends
+/// `ends` — the same body [`crate::sweep::sweep_lines`] runs on the pool,
+/// with fresh scratch state.
 pub fn run_spatial_task(
     ps: &mut PhaseSpace,
     d: usize,
     cfl_per_u: &[f64],
     scheme: Scheme,
     exec: Exec,
+    ends: SpatialEnds<'_>,
     task: usize,
 ) {
     assert!(d < 3);
     assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
     let dims = ps.dims6();
     assert!(task < plan::spatial_task_count(&dims, d, exec));
-    let n_line = dims[d];
-    let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
-    match exec {
-        Exec::Scalar => {
-            let mut scratch = (vec![0.0f32; n_line], LineWork::new());
-            spatial_scalar_task(base, &dims, d, cfl_per_u, scheme, &mut scratch, task);
-        }
-        Exec::Simd | Exec::Lat if d < 2 => {
-            let mut scratch = (vec![f32x8::ZERO; n_line], LanesWork::new());
-            spatial_bundle_task(base, &dims, d, cfl_per_u, scheme, &mut scratch, task);
-        }
-        Exec::Simd | Exec::Lat => {
-            let mut scratch = (vec![f32x8::ZERO; n_line * LANES], LanesWork::new());
-            spatial_tile_task(base, &dims, cfl_per_u, scheme, &mut scratch, task);
-        }
-    }
+    let sweep = SpatialSweep {
+        base: SendMutPtr(ps.as_mut_slice().as_mut_ptr()),
+        dims,
+        d,
+        cfl_per_u,
+        scheme,
+        ends,
+    };
+    sweep.task(exec, &mut SweepWork::default(), task);
 }
 
 /// Number of parallel tasks `sweep_velocity` would launch (one per cell).
@@ -77,6 +67,6 @@ pub fn run_velocity_task(
     assert!(cell < plan::velocity_task_count(&dims));
     let cfl = cfl_per_cell.as_slice()[cell];
     let block = &mut ps.as_mut_slice()[plan::velocity_block(&dims, cell)];
-    let mut work = VelocityWork::new();
+    let mut work = SweepWork::default();
     velocity_cell_task(&dims, d, cfl, scheme, exec, &mut work, block);
 }

@@ -17,6 +17,11 @@
 //!   in-register ([`transpose8x8`], paper Fig. 3) into lane form, advected,
 //!   and transposed back. Other axes fall back to [`Exec::Simd`].
 //!
+//! Every spatial sweep — the serial periodic one, both distributed
+//! schedules of [`crate::exchange`] and their boundary windows — runs
+//! through [`sweep_lines`], which differs between them only in where lines
+//! take the cells beyond their ends ([`SpatialEnds`]).
+//!
 //! The advection velocity is constant along every line *and* across every
 //! lane bundle by construction: spatial sweeps depend only on the conjugate
 //! velocity index, velocity sweeps only on the spatial cell — and the lane
@@ -33,7 +38,7 @@ use crate::dist_fn::PhaseSpace;
 use crate::plan;
 use rayon::prelude::*;
 use vlasov6d_advection::lanes::{advect_lanes, LanesWork};
-use vlasov6d_advection::line::{advect_line, LineWork, Scheme};
+use vlasov6d_advection::line::{advect_line, LineEnds, LineWork, Scheme, GHOST};
 use vlasov6d_advection::simd::{f32x8, transpose8x8, LANES};
 use vlasov6d_advection::Boundary;
 use vlasov6d_mesh::Field3;
@@ -49,6 +54,28 @@ pub enum Exec {
     Simd,
     /// Load-and-transpose staging for the `u_z` axis.
     Lat,
+}
+
+impl Exec {
+    /// Whether the lane plans of a spatial sweep along `d` tile the velocity
+    /// grid `nu`: the x/y bundles take eight contiguous `iuz`, the z tiles
+    /// 8×8 `(iuy, iuz)` blocks. The z condition also covers every velocity
+    /// lane plan.
+    pub(crate) fn lanes_fit(nu: [usize; 3], d: usize) -> bool {
+        nu[2] % LANES == 0 && (d < 2 || nu[1] % LANES == 0)
+    }
+
+    /// The kernel rule for a whole step over velocity grid `nu`: the lanes
+    /// kernel ([`Exec::Simd`]) when `scheme` has one (SL5, SL-MPP5) and the
+    /// lane plans of all three spatial axes fit `nu`, the scalar kernel
+    /// otherwise. The exchange sweeps take their kernel from this rule.
+    pub fn for_grid(scheme: Scheme, nu: [usize; 3]) -> Exec {
+        if matches!(scheme, Scheme::Sl5 | Scheme::SlMpp5) && Exec::lanes_fit(nu, 2) {
+            Exec::Simd
+        } else {
+            Exec::Scalar
+        }
+    }
 }
 
 /// Partition of one axis's cell range into the boundary slabs whose stencils
@@ -97,6 +124,21 @@ unsafe impl Send for SendMutPtr {}
 // dereference sites by the same per-task plans as for `Send`.
 unsafe impl Sync for SendMutPtr {}
 
+/// Where a spatial sweep takes the `GHOST` cells beyond each end of its
+/// lines. The same tasks, lane batching and pool serve every source.
+#[derive(Debug, Clone, Copy)]
+pub enum SpatialEnds<'a> {
+    /// Periodic wrap within the block (an axis owned by one rank).
+    Periodic,
+    /// Zero continuation: exact for every cell whose stencil stays inside
+    /// the block (the overlapped sweep's interior pass).
+    Zero,
+    /// Neighbour planes in [`crate::exchange::extract_planes`] layout
+    /// `[outer][GHOST][inner]`: `low` lies just below the block along the
+    /// swept axis, `high` just above. Needs `|cfl| < 1`.
+    Ghost { low: &'a [f32], high: &'a [f32] },
+}
+
 /// Sweep along spatial axis `d` (0 = x, 1 = y, 2 = z) with periodic bounds.
 ///
 /// `cfl_per_u[k]` is the shift (in cells) of velocity index `k` along axis
@@ -106,160 +148,219 @@ pub fn sweep_spatial(ps: &mut PhaseSpace, d: usize, cfl_per_u: &[f64], scheme: S
     assert!(d < 3);
     const SPAN: [&str; 3] = ["sweep.spatial.x", "sweep.spatial.y", "sweep.spatial.z"];
     let _obs = vlasov6d_obs::span!(SPAN[d], vlasov6d_obs::Bucket::Vlasov);
-    assert_eq!(cfl_per_u.len(), ps.vgrid.n[d]);
     let dims = ps.dims6();
-    let n_line = dims[d];
-    let nuz = dims[5];
-    let base = SendMutPtr(ps.as_mut_slice().as_mut_ptr());
-    let n_tasks = plan::spatial_task_count(&dims, d, exec);
-
-    match exec {
-        Exec::Scalar => {
-            // Parallel over line pencils; racecheck region
-            // `sweep.spatial.{x,y,z}.scalar`.
-            (0..n_tasks).into_par_iter().for_each_init(
-                || (vec![0.0f32; n_line], LineWork::new()),
-                |scratch, task| {
-                    spatial_scalar_task(base, &dims, d, cfl_per_u, scheme, scratch, task)
-                },
-            );
-        }
-        Exec::Simd | Exec::Lat if d < 2 => {
-            // x/y sweeps: lanes over iuz are contiguous packed loads and the
-            // conjugate velocity (iux/iuy) is constant across them (Fig. 1).
-            // Racecheck region `sweep.spatial.{x,y}.{simd,lat}`.
-            assert!(
-                nuz % LANES == 0,
-                "Simd sweeps need nuz divisible by {LANES}"
-            );
-            (0..n_tasks).into_par_iter().for_each_init(
-                || (vec![f32x8::ZERO; n_line], LanesWork::new()),
-                |scratch, task| {
-                    spatial_bundle_task(base, &dims, d, cfl_per_u, scheme, scratch, task)
-                },
-            );
-        }
-        Exec::Simd | Exec::Lat => {
-            // z sweep: the conjugate velocity IS iuz, so lanes over iuz would
-            // mix shifts. Stage 8×8 (iuy, iuz) tiles through the in-register
-            // transpose so lanes run over iuy at fixed iuz — constant shift
-            // per bundle, packed loads throughout (the LAT trick applied to
-            // the spatial z axis). Racecheck region `sweep.spatial.z.{simd,lat}`.
-            let nuy = dims[4];
-            assert!(
-                nuy % LANES == 0 && nuz % LANES == 0,
-                "z-sweep SIMD needs nuy and nuz divisible by {LANES}"
-            );
-            (0..n_tasks).into_par_iter().for_each_init(
-                || (vec![f32x8::ZERO; n_line * LANES], LanesWork::new()),
-                |scratch, task| spatial_tile_task(base, &dims, cfl_per_u, scheme, scratch, task),
-            );
-        }
-    }
+    sweep_lines(
+        ps.as_mut_slice(),
+        dims,
+        d,
+        cfl_per_u,
+        scheme,
+        exec,
+        SpatialEnds::Periodic,
+    );
 }
 
-/// One scalar spatial-sweep task: gather the planned pencil, advect, scatter.
-pub(crate) fn spatial_scalar_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
+/// Sweep every line along spatial axis `d` of the block `data` (layout and
+/// extents `dims`, as [`PhaseSpace::dims6`]) with line ends `ends`: the one
+/// plan-driven spatial sweep behind [`sweep_spatial`] and both exchange
+/// sweeps of [`crate::exchange`].
+///
+/// * [`Exec::Scalar`] — parallel over line pencils; racecheck region
+///   `sweep.spatial.{x,y,z}.scalar`.
+/// * [`Exec::Simd`] / [`Exec::Lat`] along x/y — lanes over eight contiguous
+///   `iuz` are packed loads and the conjugate velocity (iux/iuy) is constant
+///   across them (Fig. 1). Racecheck region `sweep.spatial.{x,y}.{simd,lat}`.
+/// * [`Exec::Simd`] / [`Exec::Lat`] along z — the conjugate velocity *is*
+///   iuz, so lanes over iuz would mix shifts. 8×8 `(iuy, iuz)` tiles are
+///   staged through the in-register transpose so lanes run over iuy at fixed
+///   iuz: constant shift per bundle, packed loads throughout (the LAT trick
+///   applied to the spatial z axis). Racecheck region
+///   `sweep.spatial.z.{simd,lat}`.
+pub fn sweep_lines(
+    data: &mut [f32],
+    dims: [usize; 6],
     d: usize,
     cfl_per_u: &[f64],
     scheme: Scheme,
-    scratch: &mut (Vec<f32>, LineWork),
-    task: usize,
+    exec: Exec,
+    ends: SpatialEnds<'_>,
 ) {
-    let line = plan::spatial_line(dims, d, task);
-    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Scalar, task)];
-    let (buf, work) = scratch;
-    // SAFETY: `line` is this task's plan; racecheck proves plans of distinct
-    // tasks pairwise disjoint and in bounds, so the strided accesses below
-    // touch memory no other task can reach.
-    unsafe {
-        gather_line(base, &line, buf);
-        advect_line(scheme, buf, cfl, Boundary::Periodic, work);
-        scatter_line(base, &line, buf);
+    assert!(d < 3);
+    assert_eq!(data.len(), dims.iter().product::<usize>());
+    assert_eq!(cfl_per_u.len(), dims[3 + d]);
+    assert!(
+        exec == Exec::Scalar || Exec::lanes_fit([dims[3], dims[4], dims[5]], d),
+        "SIMD spatial sweeps along axis {d} need nuz{} divisible by {LANES}",
+        if d == 2 { " and nuy" } else { "" }
+    );
+    if let SpatialEnds::Ghost { low, high } = ends {
+        let planes = GHOST * data.len() / dims[d];
+        assert!(
+            low.len() == planes && high.len() == planes,
+            "ghost ends need {GHOST} planes on each side"
+        );
     }
+    let sweep = SpatialSweep {
+        base: SendMutPtr(data.as_mut_ptr()),
+        dims,
+        d,
+        cfl_per_u,
+        scheme,
+        ends,
+    };
+    (0..plan::spatial_task_count(&dims, d, exec))
+        .into_par_iter()
+        .for_each_init(SweepWork::default, |work, task| {
+            sweep.task(exec, work, task)
+        });
 }
 
-/// One SIMD x/y spatial-sweep task: packed-load the planned bundle pencil,
-/// advect in lanes, store back.
-pub(crate) fn spatial_bundle_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
-    d: usize,
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    scratch: &mut (Vec<f32x8>, LanesWork),
-    task: usize,
-) {
-    let b = plan::spatial_bundle(dims, d, task);
-    let cfl = cfl_per_u[plan::spatial_conjugate_u(dims, d, Exec::Simd, task)];
-    let (bundle, work) = scratch;
-    // SAFETY: `b` is this task's plan (disjoint across tasks, in bounds —
-    // proved by racecheck); each element is one `lanes`-wide packed access.
-    unsafe {
-        for (i, v) in bundle.iter_mut().enumerate() {
-            let p = base.0.add(b.base + i * b.stride);
-            *v = f32x8::load(std::slice::from_raw_parts(p, LANES));
-        }
-        advect_lanes(scheme.max_simd(), bundle, cfl, Boundary::Periodic, work);
-        for (i, v) in bundle.iter().enumerate() {
-            let p = base.0.add(b.base + i * b.stride);
-            v.store(std::slice::from_raw_parts_mut(p, LANES));
-        }
-    }
+/// One spatial sweep as its tasks see it: the block, the per-velocity
+/// shifts, the scheme and the line-end source. [`crate::probe`] replays
+/// single tasks through the same struct.
+#[derive(Clone, Copy)]
+pub(crate) struct SpatialSweep<'a> {
+    pub(crate) base: SendMutPtr,
+    pub(crate) dims: [usize; 6],
+    pub(crate) d: usize,
+    pub(crate) cfl_per_u: &'a [f64],
+    pub(crate) scheme: Scheme,
+    pub(crate) ends: SpatialEnds<'a>,
 }
 
-/// One z-axis tile task: stage the planned 8×8 tile pencil through the
-/// in-register transpose, advect each row with its own conjugate shift,
-/// transpose back and store.
-pub(crate) fn spatial_tile_task(
-    base: SendMutPtr,
-    dims: &[usize; 6],
-    cfl_per_u: &[f64],
-    scheme: Scheme,
-    scratch: &mut (Vec<f32x8>, LanesWork),
-    task: usize,
-) {
-    let t = plan::spatial_tile(dims, task);
-    let z0 = plan::spatial_conjugate_u(dims, 2, Exec::Lat, task);
-    let n_line = t.len;
-    let (bundles, work) = scratch;
-    // SAFETY: `t` is this task's plan (disjoint across tasks, in bounds —
-    // proved by racecheck); every access below is a packed row of the tile.
-    unsafe {
-        for i in 0..n_line {
-            let line_base = t.base + i * t.stride;
-            let mut rows: [f32x8; LANES] = core::array::from_fn(|l| {
-                f32x8::load(std::slice::from_raw_parts(
-                    base.0.add(line_base + l * t.row_stride),
-                    LANES,
-                ))
-            });
-            transpose8x8(&mut rows);
-            for (r, row) in rows.iter().enumerate() {
-                bundles[r * n_line + i] = *row;
+impl SpatialSweep<'_> {
+    /// Run task `task` of the `exec` region.
+    pub(crate) fn task(&self, exec: Exec, work: &mut SweepWork, task: usize) {
+        match exec {
+            Exec::Scalar => self.line_task(work, task),
+            Exec::Simd | Exec::Lat if self.d < 2 => self.bundle_task(work, task),
+            Exec::Simd | Exec::Lat => self.tile_task(work, task),
+        }
+    }
+
+    /// The line ends of the pencil starting at flat offset `base`.
+    /// `load(planes, at)` reads the ghost cell at plane offset `at` in the
+    /// task's cell type (a value, a packed bundle or a transposed tile).
+    fn ends_at<T>(&self, base: usize, load: impl Fn(&[f32], usize) -> T) -> LineEnds<T> {
+        match self.ends {
+            SpatialEnds::Periodic => LineEnds::Periodic,
+            SpatialEnds::Zero => LineEnds::Zero,
+            SpatialEnds::Ghost { low, high } => {
+                // The pencil sits at (outer, inner) of the [outer][n][inner]
+                // block; its ghosts sit at the same (outer, inner) of the
+                // [outer][GHOST][inner] planes.
+                let stride = plan::spatial_stride(&self.dims, self.d);
+                let block = self.dims[self.d] * stride;
+                let at = base / block * GHOST * stride + base % block;
+                LineEnds::Ghost {
+                    low: core::array::from_fn(|g| load(low, at + g * stride)),
+                    high: core::array::from_fn(|g| load(high, at + g * stride)),
+                }
             }
         }
-        for r in 0..LANES {
-            let cfl = cfl_per_u[z0 + r];
-            advect_lanes(
-                scheme.max_simd(),
-                &mut bundles[r * n_line..(r + 1) * n_line],
-                cfl,
-                Boundary::Periodic,
-                work,
-            );
+    }
+
+    /// One scalar task: gather the planned pencil, advect, scatter.
+    fn line_task(&self, work: &mut SweepWork, task: usize) {
+        let line = plan::spatial_line(&self.dims, self.d, task);
+        let cfl = self.cfl_per_u[plan::spatial_conjugate_u(&self.dims, self.d, Exec::Scalar, task)];
+        let ends = self.ends_at(line.base, |planes, at| planes[at]);
+        let buf = &mut work.line;
+        buf.resize(line.len, 0.0);
+        // SAFETY: `line` is this task's plan; racecheck proves plans of
+        // distinct tasks pairwise disjoint and in bounds, so the strided
+        // accesses below touch memory no other task can reach.
+        unsafe {
+            for (i, b) in buf.iter_mut().enumerate() {
+                *b = *self.base.0.add(line.base + i * line.stride);
+            }
+            advect_line(self.scheme, buf, cfl, ends, &mut work.line_work);
+            for (i, b) in buf.iter().enumerate() {
+                *self.base.0.add(line.base + i * line.stride) = *b;
+            }
         }
-        for i in 0..n_line {
-            let line_base = t.base + i * t.stride;
-            let mut rows: [f32x8; LANES] = core::array::from_fn(|r| bundles[r * n_line + i]);
+    }
+
+    /// One x/y lanes task: packed-load the planned bundle pencil, advect in
+    /// lanes, store back.
+    fn bundle_task(&self, work: &mut SweepWork, task: usize) {
+        let b = plan::spatial_bundle(&self.dims, self.d, task);
+        let cfl = self.cfl_per_u[plan::spatial_conjugate_u(&self.dims, self.d, Exec::Simd, task)];
+        let ends = self.ends_at(b.base, |planes, at| f32x8::load(&planes[at..]));
+        let bundle = &mut work.bundle;
+        bundle.resize(b.len, f32x8::ZERO);
+        // SAFETY: `b` is this task's plan (disjoint across tasks, in bounds —
+        // proved by racecheck); each element is one `lanes`-wide packed access.
+        unsafe {
+            for (i, v) in bundle.iter_mut().enumerate() {
+                let p = self.base.0.add(b.base + i * b.stride);
+                *v = f32x8::load(std::slice::from_raw_parts(p, LANES));
+            }
+            advect_lanes(
+                max_simd(self.scheme),
+                bundle,
+                cfl,
+                ends,
+                &mut work.lanes_work,
+            );
+            for (i, v) in bundle.iter().enumerate() {
+                let p = self.base.0.add(b.base + i * b.stride);
+                v.store(std::slice::from_raw_parts_mut(p, LANES));
+            }
+        }
+    }
+
+    /// One z tile task: stage the planned 8×8 tile pencil (and its ghost
+    /// tiles) through the in-register transpose, advect each row with its
+    /// own conjugate shift, transpose back and store.
+    fn tile_task(&self, work: &mut SweepWork, task: usize) {
+        let t = plan::spatial_tile(&self.dims, task);
+        let z0 = plan::spatial_conjugate_u(&self.dims, 2, Exec::Lat, task);
+        let n_line = t.len;
+        let transposed = |planes: &[f32], at: usize| {
+            let mut rows: [f32x8; LANES] =
+                core::array::from_fn(|l| f32x8::load(&planes[at + l * t.row_stride..]));
             transpose8x8(&mut rows);
-            for (l, row) in rows.iter().enumerate() {
-                row.store(std::slice::from_raw_parts_mut(
-                    base.0.add(line_base + l * t.row_stride),
-                    LANES,
-                ));
+            rows
+        };
+        let ends = self.ends_at(t.base, transposed);
+        let bundles = &mut work.bundle;
+        bundles.resize(n_line * LANES, f32x8::ZERO);
+        // SAFETY: `t` is this task's plan (disjoint across tasks, in bounds —
+        // proved by racecheck); every access below is a packed row of the tile.
+        unsafe {
+            for i in 0..n_line {
+                let line_base = t.base + i * t.stride;
+                let mut rows: [f32x8; LANES] = core::array::from_fn(|l| {
+                    f32x8::load(std::slice::from_raw_parts(
+                        self.base.0.add(line_base + l * t.row_stride),
+                        LANES,
+                    ))
+                });
+                transpose8x8(&mut rows);
+                for (r, row) in rows.iter().enumerate() {
+                    bundles[r * n_line + i] = *row;
+                }
+            }
+            for r in 0..LANES {
+                advect_lanes(
+                    max_simd(self.scheme),
+                    &mut bundles[r * n_line..(r + 1) * n_line],
+                    self.cfl_per_u[z0 + r],
+                    ends.map(|rows| rows[r]),
+                    &mut work.lanes_work,
+                );
+            }
+            for i in 0..n_line {
+                let line_base = t.base + i * t.stride;
+                let mut rows: [f32x8; LANES] = core::array::from_fn(|r| bundles[r * n_line + i]);
+                transpose8x8(&mut rows);
+                for (l, row) in rows.iter().enumerate() {
+                    row.store(std::slice::from_raw_parts_mut(
+                        self.base.0.add(line_base + l * t.row_stride),
+                        LANES,
+                    ));
+                }
             }
         }
     }
@@ -293,7 +394,7 @@ pub fn sweep_velocity(
     // region `sweep.velocity.blocks`.
     data.par_chunks_mut(vlen)
         .enumerate()
-        .for_each_init(VelocityWork::new, |work, (cell, block)| {
+        .for_each_init(SweepWork::default, |work, (cell, block)| {
             velocity_cell_task(&dims, d, cfls[cell], scheme, exec, work, block)
         });
 }
@@ -305,69 +406,58 @@ pub(crate) fn velocity_cell_task(
     cfl: f64,
     scheme: Scheme,
     exec: Exec,
-    work: &mut VelocityWork,
+    work: &mut SweepWork,
     block: &mut [f32],
 ) {
     if cfl == 0.0 {
         return;
     }
-    let (nux, nuy, nuz) = (dims[3], dims[4], dims[5]);
+    let nu = [dims[3], dims[4], dims[5]];
     match d {
-        0 => sweep_block_ux(block, nux, nuy, nuz, cfl, scheme, exec, work),
-        1 => sweep_block_uy(block, nux, nuy, nuz, cfl, scheme, exec, work),
-        _ => sweep_block_uz(block, nux, nuy, nuz, cfl, scheme, exec, work),
+        0 | 1 => sweep_block_uxy(block, d, nu, cfl, scheme, exec, work),
+        _ => sweep_block_uz(block, nu, cfl, scheme, exec, work),
     }
 }
 
-/// Per-thread scratch for velocity-block sweeps.
-pub(crate) struct VelocityWork {
+/// Per-worker scratch of the sweep tasks, spatial and velocity.
+#[derive(Default)]
+pub(crate) struct SweepWork {
     line: Vec<f32>,
     bundle: Vec<f32x8>,
     line_work: LineWork,
     lanes_work: LanesWork,
 }
 
-impl VelocityWork {
-    pub(crate) fn new() -> Self {
-        Self {
-            line: Vec::new(),
-            bundle: Vec::new(),
-            line_work: LineWork::new(),
-            lanes_work: LanesWork::new(),
-        }
+/// The lanes kernel implements SL5/SL-MPP5; map the cheap scalar-only
+/// schemes onto their nearest vectorised equivalent when a SIMD sweep is
+/// requested (callers wanting exact Upwind1/Sl3 use Exec::Scalar).
+fn max_simd(scheme: Scheme) -> Scheme {
+    match scheme {
+        Scheme::Upwind1 | Scheme::Sl3 | Scheme::Sl5 => Scheme::Sl5,
+        Scheme::SlMpp5 => Scheme::SlMpp5,
     }
 }
 
-trait SchemeExt {
-    fn max_simd(self) -> Scheme;
-}
-impl SchemeExt for Scheme {
-    /// The lanes kernel implements SL5/SL-MPP5; map the cheap scalar-only
-    /// schemes onto their nearest vectorised equivalent when a SIMD sweep is
-    /// requested (callers wanting exact Upwind1/Sl3 use Exec::Scalar).
-    fn max_simd(self) -> Scheme {
-        match self {
-            Scheme::Upwind1 | Scheme::Sl3 | Scheme::Sl5 => Scheme::Sl5,
-            Scheme::SlMpp5 => Scheme::SlMpp5,
-        }
-    }
-}
-
-fn sweep_block_ux(
+/// The `u_x` / `u_y` block sweeps: strided lines, or bundles of eight
+/// contiguous `iuz` lanes (paper Fig. 1 shape).
+fn sweep_block_uxy(
     block: &mut [f32],
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
+    d: usize,
+    [nux, nuy, nuz]: [usize; 3],
     cfl: f64,
     scheme: Scheme,
     exec: Exec,
-    work: &mut VelocityWork,
+    work: &mut SweepWork,
 ) {
+    let n = [nux, nuy][d];
     match exec {
         Exec::Scalar => {
-            work.line.resize(nux, 0.0);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 0, Exec::Scalar) {
-                let l = plan::block_ux_line(nuy, nuz, nux, unit);
+            work.line.resize(n, 0.0);
+            for unit in 0..plan::block_unit_count(nux, nuy, nuz, d, Exec::Scalar) {
+                let l = match d {
+                    0 => plan::block_ux_line(nuy, nuz, nux, unit),
+                    _ => plan::block_uy_line(nuy, nuz, unit),
+                };
                 for i in 0..l.len {
                     work.line[i] = block[l.base + i * l.stride];
                 }
@@ -385,67 +475,17 @@ fn sweep_block_ux(
         }
         Exec::Simd | Exec::Lat => {
             assert!(nuz % LANES == 0);
-            work.bundle.resize(nux, f32x8::ZERO);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 0, Exec::Simd) {
-                let p = plan::block_ux_bundle(nuy, nuz, nux, unit);
+            work.bundle.resize(n, f32x8::ZERO);
+            for unit in 0..plan::block_unit_count(nux, nuy, nuz, d, Exec::Simd) {
+                let p = match d {
+                    0 => plan::block_ux_bundle(nuy, nuz, nux, unit),
+                    _ => plan::block_uy_bundle(nuy, nuz, unit),
+                };
                 for (i, b) in work.bundle.iter_mut().enumerate() {
                     *b = f32x8::load(&block[p.base + i * p.stride..]);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
-                    &mut work.bundle,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.lanes_work,
-                );
-                for (i, b) in work.bundle.iter().enumerate() {
-                    b.store(&mut block[p.base + i * p.stride..]);
-                }
-            }
-        }
-    }
-}
-
-fn sweep_block_uy(
-    block: &mut [f32],
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
-    cfl: f64,
-    scheme: Scheme,
-    exec: Exec,
-    work: &mut VelocityWork,
-) {
-    match exec {
-        Exec::Scalar => {
-            work.line.resize(nuy, 0.0);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 1, Exec::Scalar) {
-                let l = plan::block_uy_line(nuy, nuz, unit);
-                for i in 0..l.len {
-                    work.line[i] = block[l.base + i * l.stride];
-                }
-                advect_line(
-                    scheme,
-                    &mut work.line,
-                    cfl,
-                    Boundary::Zero,
-                    &mut work.line_work,
-                );
-                for i in 0..l.len {
-                    block[l.base + i * l.stride] = work.line[i];
-                }
-            }
-        }
-        Exec::Simd | Exec::Lat => {
-            assert!(nuz % LANES == 0);
-            work.bundle.resize(nuy, f32x8::ZERO);
-            for unit in 0..plan::block_unit_count(nux, nuy, nuz, 1, Exec::Simd) {
-                let p = plan::block_uy_bundle(nuy, nuz, unit);
-                for (i, b) in work.bundle.iter_mut().enumerate() {
-                    *b = f32x8::load(&block[p.base + i * p.stride..]);
-                }
-                advect_lanes(
-                    scheme.max_simd(),
+                    max_simd(scheme),
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -461,13 +501,11 @@ fn sweep_block_uy(
 
 fn sweep_block_uz(
     block: &mut [f32],
-    nux: usize,
-    nuy: usize,
-    nuz: usize,
+    [nux, nuy, nuz]: [usize; 3],
     cfl: f64,
     scheme: Scheme,
     exec: Exec,
-    work: &mut VelocityWork,
+    work: &mut SweepWork,
 ) {
     match exec {
         Exec::Scalar => {
@@ -496,7 +534,7 @@ fn sweep_block_uz(
                     *b = f32x8(lanes);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
+                    max_simd(scheme),
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -526,7 +564,7 @@ fn sweep_block_uz(
                     work.bundle[z0..z0 + LANES].copy_from_slice(&packed);
                 }
                 advect_lanes(
-                    scheme.max_simd(),
+                    max_simd(scheme),
                     &mut work.bundle,
                     cfl,
                     Boundary::Zero,
@@ -543,20 +581,6 @@ fn sweep_block_uz(
                 }
             }
         }
-    }
-}
-
-/// SAFETY: caller guarantees exclusive ownership of the planned pencil.
-unsafe fn gather_line(base: SendMutPtr, line: &plan::Line, buf: &mut [f32]) {
-    for (i, b) in buf.iter_mut().enumerate().take(line.len) {
-        *b = *base.0.add(line.base + i * line.stride);
-    }
-}
-
-/// SAFETY: as [`gather_line`].
-unsafe fn scatter_line(base: SendMutPtr, line: &plan::Line, buf: &[f32]) {
-    for (i, b) in buf.iter().enumerate().take(line.len) {
-        *base.0.add(line.base + i * line.stride) = *b;
     }
 }
 
@@ -628,6 +652,40 @@ mod tests {
             sweep_spatial(&mut simd, d, &cfl, Scheme::SlMpp5, Exec::Simd);
             let diff = scalar.l1_distance(&simd) / scalar.len() as f64;
             assert!(diff < 1e-5, "axis {d}: mean |Δ| = {diff}");
+        }
+    }
+
+    /// Spatial lines shorter than the stencil (4 cells along y) sweep
+    /// exactly like the same data tiled past the stencil width: the wrapped
+    /// stencil is the exact periodic continuation, for the scalar and the
+    /// lanes kernel alike.
+    #[test]
+    fn short_spatial_lines_match_tiled_lines() {
+        let vg = VelocityGrid::cubic(8, 1.0);
+        let fill = |s: [usize; 3], u: [f64; 3]| {
+            let sx = (s[0] as f64 * 0.7).sin() + ((s[1] % 4) as f64 * 1.3).cos();
+            (2.0 + sx) * (-(u[0] * u[0] + u[1] * u[1] + u[2] * u[2]) / 0.3).exp() + 0.01
+        };
+        let cfl: Vec<f64> = (0..8).map(|k| 0.35 * (k as f64 - 3.5)).collect();
+        for exec in [Exec::Scalar, Exec::Simd] {
+            let mut short = PhaseSpace::zeros([16, 4, 4], vg);
+            let mut tiled = PhaseSpace::zeros([16, 12, 4], vg);
+            short.fill_with(fill);
+            tiled.fill_with(fill);
+            sweep_spatial(&mut short, 1, &cfl, Scheme::SlMpp5, exec);
+            sweep_spatial(&mut tiled, 1, &cfl, Scheme::SlMpp5, exec);
+            for ix in 0..16 {
+                for iy in 0..4 {
+                    for iz in 0..4 {
+                        let a = short.velocity_block([ix, iy, iz]);
+                        let b = tiled.velocity_block([ix, iy, iz]);
+                        assert!(
+                            a.iter().zip(b).all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "{exec:?}: cell ({ix},{iy},{iz}) differs from its tiled twin"
+                        );
+                    }
+                }
+            }
         }
     }
 

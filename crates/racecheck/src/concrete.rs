@@ -21,7 +21,7 @@ use crate::symbolic::RegionModel;
 const PASS: &str = "concrete";
 
 /// The plan-declared flat write set of one spatial-sweep task, exactly as
-/// `sweep_spatial` dispatches it.
+/// `sweep_lines` dispatches it for every line-end source.
 pub(crate) fn declared_spatial_indices(
     dims: &[usize; 6],
     d: usize,
@@ -36,7 +36,7 @@ pub(crate) fn declared_spatial_indices(
 }
 
 /// The plan-declared write set of one intra-block pencil unit, exactly as
-/// `sweep_block_u{x,y,z}` iterates it.
+/// `sweep_block_uxy` / `sweep_block_uz` iterates it.
 fn declared_block_indices(
     nux: usize,
     nuy: usize,

@@ -23,13 +23,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use kerncheck::claims::ClaimMap;
 use kerncheck::report::Report;
-use vlasov6d_advection::line::Scheme;
+use vlasov6d_advection::line::{Scheme, GHOST};
 use vlasov6d_fft::{Complex64, Fft3, RealFft3};
 use vlasov6d_kerncheck as kerncheck;
 use vlasov6d_mesh::Field3;
 use vlasov6d_phase_space::plan;
 use vlasov6d_phase_space::probe as ps_probe;
-use vlasov6d_phase_space::sweep::{sweep_spatial, sweep_velocity};
+use vlasov6d_phase_space::sweep::{sweep_lines, sweep_velocity, SpatialEnds};
 use vlasov6d_phase_space::{Exec, PhaseSpace, VelocityGrid};
 
 use crate::concrete::declared_spatial_indices;
@@ -157,6 +157,11 @@ fn probe_region(
     );
 }
 
+/// Probe every spatial region under each line-end source of
+/// [`sweep_lines`]: periodic wrap (the serial sweep), zero ends (the
+/// overlapped sweep's interior pass) and exchanged ghost planes (the
+/// distributed sweeps). The ghost-end block is 4 cells deep along the swept
+/// axis — a thin rank block whose lines are shorter than the stencil reach.
 fn spatial_probes(report: &mut Report) {
     let schemes = [Scheme::Upwind1, Scheme::Sl3, Scheme::Sl5, Scheme::SlMpp5];
     let execs = [
@@ -170,36 +175,49 @@ fn spatial_probes(report: &mut Report) {
                 Exec::Scalar => 3,
                 _ => 8,
             };
-            // The swept spatial axis must fit the ±GHOST stencil (≥ 6 cells).
-            let mut sdims = [2usize, 2, 2];
-            sdims[d] = 6;
-            let ps0 = filled_ps(sdims, nv, 0xA11CE + d as u64);
             let scheme = schemes[(d + e) % schemes.len()];
-            let cfl: Vec<f64> = (0..nv)
-                .map(|k| 0.45 * (k as f64 + 1.0) / nv as f64)
-                .collect();
-            let dims = ps0.dims6();
-            let n_tasks = ps_probe::spatial_task_count(&ps0, d, *exec);
-            let initial = ps0.as_slice().to_vec();
-            probe_region(
-                report,
-                &format!("sweep.spatial.{axis}.{tag}"),
-                &initial,
-                n_tasks,
-                |t| declared_spatial_indices(&dims, d, *exec, t),
-                |state, task| {
-                    let mut ps = ps0.clone();
-                    ps.as_mut_slice().copy_from_slice(state);
-                    ps_probe::run_spatial_task(&mut ps, d, &cfl, scheme, *exec, task);
-                    state.copy_from_slice(ps.as_slice());
-                },
-                |state| {
-                    let mut ps = ps0.clone();
-                    ps.as_mut_slice().copy_from_slice(state);
-                    sweep_spatial(&mut ps, d, &cfl, scheme, *exec);
-                    state.copy_from_slice(ps.as_slice());
-                },
-            );
+            for source in ["periodic", "zero_ends", "ghost_ends"] {
+                // Periodic and zero lines span the ±GHOST stencil (6 cells).
+                let mut sdims = [2usize, 2, 2];
+                sdims[d] = if source == "ghost_ends" { 4 } else { 6 };
+                let ps0 = filled_ps(sdims, nv, 0xA11CE + d as u64);
+                // Ghost ends need |cfl| < 1; both orientations are covered.
+                let cfl: Vec<f64> = (0..nv)
+                    .map(|k| 0.45 * (2.0 * k as f64 + 1.0 - nv as f64) / nv as f64)
+                    .collect();
+                let planes = GHOST * ps0.len() / sdims[d];
+                let low: Vec<f32> = (0..planes).map(|i| noise(i, 0x10)).collect();
+                let high: Vec<f32> = (0..planes).map(|i| noise(i, 0x11)).collect();
+                let ends = match source {
+                    "periodic" => SpatialEnds::Periodic,
+                    "zero_ends" => SpatialEnds::Zero,
+                    _ => SpatialEnds::Ghost {
+                        low: &low,
+                        high: &high,
+                    },
+                };
+                let name = match source {
+                    "periodic" => format!("sweep.spatial.{axis}.{tag}"),
+                    _ => format!("sweep.spatial.{axis}.{tag}.{source}"),
+                };
+                let dims = ps0.dims6();
+                let n_tasks = ps_probe::spatial_task_count(&ps0, d, *exec);
+                let initial = ps0.as_slice().to_vec();
+                probe_region(
+                    report,
+                    &name,
+                    &initial,
+                    n_tasks,
+                    |t| declared_spatial_indices(&dims, d, *exec, t),
+                    |state, task| {
+                        let mut ps = ps0.clone();
+                        ps.as_mut_slice().copy_from_slice(state);
+                        ps_probe::run_spatial_task(&mut ps, d, &cfl, scheme, *exec, ends, task);
+                        state.copy_from_slice(ps.as_slice());
+                    },
+                    |state| sweep_lines(state, dims, d, &cfl, scheme, *exec, ends),
+                );
+            }
         }
     }
 }

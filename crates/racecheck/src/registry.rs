@@ -292,7 +292,8 @@ pub fn regions() -> Vec<Region> {
         for (e, (exec, _)) in execs.iter().enumerate() {
             regions.push(Region {
                 name: spatial_names[d][e],
-                about: "phase-space sweep.rs sweep_spatial: one pencil task per remaining \
+                about: "phase-space sweep.rs sweep_lines (serial, distributed and overlapped \
+                        spatial sweeps, any line ends): one pencil task per remaining \
                         coordinate of f",
                 backs_unsafe_impl: true,
                 model: spatial_model(d, *exec),
