@@ -279,10 +279,17 @@ mod tests {
 
     #[test]
     fn config_restored_after_panic() {
-        let before = current_num_threads();
+        // Read the worker count only while no other test is inside
+        // `with_config`, so a concurrent override can't leak into the
+        // before/after comparison.
+        let settled = || {
+            let _guard = CONFIG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            current_num_threads()
+        };
+        let before = settled();
         let _ = std::panic::catch_unwind(|| {
             with_num_threads(7, || panic!("boom"));
         });
-        assert_eq!(current_num_threads(), before);
+        assert_eq!(settled(), before);
     }
 }
