@@ -24,7 +24,7 @@
 //!   from a barrier to the last rank entering it. The resulting
 //!   [`CriticalPath`] tiles the step's wall-clock with attributed segments:
 //!   compute (innermost covering span), exposed communication, barrier
-//!   waits. [`TraceReport`] aggregates steps into per-rank slack, bucket /
+//!   waits, and the late entry of a rank still finishing the previous step. [`TraceReport`] aggregates steps into per-rank slack, bucket /
 //!   span shares on the path and a span × rank blame ranking.
 //! * **Perfetto export** — [`TraceSet::chrome_trace`] emits Chrome
 //!   trace-event JSON (complete events per span, flow arrows per message)
@@ -868,9 +868,13 @@ impl StepDag {
     /// began — i.e. the rank genuinely waited — it records the exposed
     /// window and jumps to the sender at the send's post time; at a barrier
     /// it jumps to the last rank entering. Receives whose message was
-    /// already waiting cost nothing and stay on-rank. By construction the
-    /// returned segments tile the step's span, so
-    /// [`CriticalPath::length`] ≈ [`StepDag::wall`].
+    /// already waiting cost nothing and stay on-rank. Where the walk ends on
+    /// a rank whose trace opens after the step's earliest event, the gap is
+    /// a [`SegmentKind::LateEntry`]: a step's trace runs from one drain to
+    /// the next, so that rank was still in the previous step while the
+    /// others had begun this one. By construction the returned segments
+    /// tile the step's span, so [`CriticalPath::length`] ≈
+    /// [`StepDag::wall`].
     pub fn critical_path(&self) -> CriticalPath {
         let mut path = CriticalPath {
             step: self.step,
@@ -974,7 +978,16 @@ impl StepDag {
                         .map(|e| e.t0)
                         .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
                         .unwrap_or(cur);
-                    attribute_compute(evs, rank, rank_begin.min(cur), cur, &mut segments);
+                    let entry = rank_begin.min(cur);
+                    attribute_compute(evs, rank, entry, cur, &mut segments);
+                    if entry > path.t_start {
+                        segments.push(PathSegment {
+                            rank,
+                            t0: path.t_start,
+                            t1: entry,
+                            kind: SegmentKind::LateEntry,
+                        });
+                    }
                     break;
                 }
             }
@@ -1087,6 +1100,10 @@ pub enum SegmentKind {
         /// The rank whose late arrival released the barrier.
         from: usize,
     },
+    /// The path's rank had not yet entered this step's trace: it was still
+    /// finishing the previous step, whose trace it drained after the step's
+    /// earliest event on another rank.
+    LateEntry,
 }
 
 /// One attributed interval on the critical path.
@@ -1163,6 +1180,15 @@ impl CriticalPath {
             .sum()
     }
 
+    /// Seconds on the path before its first rank entered the step.
+    pub fn late_entry(&self) -> f64 {
+        self.segments
+            .iter()
+            .filter(|s| matches!(s.kind, SegmentKind::LateEntry))
+            .map(PathSegment::secs)
+            .sum()
+    }
+
     /// Compute seconds on the path folded by bucket.
     pub fn by_bucket(&self) -> BucketTotals {
         let mut totals = BucketTotals::default();
@@ -1199,6 +1225,7 @@ impl CriticalPath {
                 SegmentKind::Compute { name, .. } => name.as_str(),
                 SegmentKind::ExposedComm { .. } => "(exposed comm)",
                 SegmentKind::BarrierWait { .. } => "(barrier wait)",
+                SegmentKind::LateEntry => "(late entry)",
             };
             *by_pair.entry((label, s.rank)).or_insert(0.0) += s.secs();
         }
@@ -1229,6 +1256,8 @@ pub struct TraceReport {
     pub exposed_on_path: f64,
     /// Barrier-handoff seconds on the path.
     pub barrier_on_path: f64,
+    /// Late-entry seconds on the path (see [`SegmentKind::LateEntry`]).
+    pub late_entry_on_path: f64,
     /// Compute on the path folded by bucket.
     pub by_bucket: BucketTotals,
     /// Per-rank blocked seconds (slack) summed over steps.
@@ -1255,6 +1284,7 @@ impl TraceReport {
             path: 0.0,
             exposed_on_path: 0.0,
             barrier_on_path: 0.0,
+            late_entry_on_path: 0.0,
             by_bucket: BucketTotals::default(),
             slack: BTreeMap::new(),
             blame: Vec::new(),
@@ -1274,6 +1304,7 @@ impl TraceReport {
             report.path += path.length();
             report.exposed_on_path += path.exposed_comm();
             report.barrier_on_path += path.barrier_wait();
+            report.late_entry_on_path += path.late_entry();
             report.by_bucket.accumulate(&path.by_bucket());
             report.unmatched_edges += dag.unmatched_sends + dag.unmatched_recvs;
             for (rank, secs) in dag.rank_slack() {
@@ -1330,8 +1361,8 @@ impl TraceReport {
         }
         let _ = writeln!(
             out,
-            "  on-path waits: exposed comm {:.6} s, barrier handoff {:.6} s",
-            self.exposed_on_path, self.barrier_on_path
+            "  on-path waits: exposed comm {:.6} s, barrier handoff {:.6} s, late entry {:.6} s",
+            self.exposed_on_path, self.barrier_on_path, self.late_entry_on_path
         );
         let _ = writeln!(
             out,
@@ -1358,7 +1389,7 @@ impl TraceReport {
             out,
             "  {:<12} {:>12.6} s {:>6.1}%",
             "waits",
-            self.exposed_on_path + self.barrier_on_path,
+            self.exposed_on_path + self.barrier_on_path + self.late_entry_on_path,
             100.0 * (self.path - compute).max(0.0) / denom
         );
 
@@ -1673,6 +1704,49 @@ mod tests {
         assert!(!by_span.iter().any(|(n, _)| n == "fast"));
         // Slack: rank 0 waited 0.7 s at the barrier.
         assert!((dag.rank_slack()[&0] - 0.7).abs() < 1e-9);
+    }
+
+    #[test]
+    fn late_entering_rank_tiles_the_step_with_late_entry() {
+        // Rank 1 opens its trace at 0.3 (it drained the previous step late);
+        // rank 0 began at 0.0 and blocks on rank 1's first send. The path
+        // runs back through rank 1 to its entry, and the 0.3 s before it is
+        // that rank's late entry, not lost coverage.
+        let mut set = TraceSet::new();
+        set.add(trace(
+            2,
+            0,
+            vec![
+                span_ev(0.0, 0.1, "fast", Bucket::Other),
+                recv_ev(0.1, 0.5, 1, 3, 8),
+                span_ev(0.5, 0.9, "kick", Bucket::Vlasov),
+            ],
+        ));
+        set.add(trace(
+            2,
+            1,
+            vec![span_ev(0.3, 0.5, "slow", Bucket::Pm), send_ev(0.5, 0, 3, 8)],
+        ));
+        let dag = set.stitch(2).unwrap();
+        let path = dag.critical_path();
+        assert!((path.length() - path.wall()).abs() < 1e-9);
+        assert!((path.late_entry() - 0.3).abs() < 1e-9);
+        let first = &path.segments[0];
+        assert_eq!(first.rank, 1);
+        assert_eq!(first.kind, SegmentKind::LateEntry);
+        assert!(!path.by_span().iter().any(|(n, _)| n == "fast"));
+        let report = TraceReport::from_set(&set);
+        assert!((report.late_entry_on_path - 0.3).abs() < 1e-9);
+        assert!(report.render().contains("late entry 0.300000 s"));
+        // A rank entering with the step adds no late entry.
+        assert_eq!(
+            blocked_recv_set()
+                .stitch(1)
+                .unwrap()
+                .critical_path()
+                .late_entry(),
+            0.0
+        );
     }
 
     #[test]
